@@ -11,8 +11,8 @@
 //    pays O(log n) per event plus a pool scan. The `speedup_vs_heap` counter
 //    on the 10k run is the acceptance number for the batching rework (>= 2).
 //  - BM_HeapReferenceSameTimestampPops: that reference implementation.
-//  - BM_RunBatchDrain vs BM_RunUntilDrain: Simulator::run_batch() cohort
-//    drain against the per-event run_until() path on the same workload.
+//  - BM_RunUntilDrain: Simulator::run_until() over dense timestamp
+//    cohorts.
 //  - BM_CancelHeavy: schedule/cancel churn (the rte scheduler's
 //    preempt-and-reschedule pattern); generation-counter cancel is O(1).
 //  - BM_BucketRecycleWaves: waves of distinct timestamps on one long-lived
@@ -161,26 +161,8 @@ void BM_HeapReferenceSameTimestampPops(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapReferenceSameTimestampPops)->Arg(100)->Arg(1'000)->Arg(10'000);
 
-/// Cohort drain through Simulator::run_batch(): 64 timestamps x `cohort`
+/// Cohort drain through Simulator::run_until(): 64 timestamps x `cohort`
 /// events each, the shape of a fleet of same-period monitors.
-void BM_RunBatchDrain(benchmark::State& state) {
-    const int cohort = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        Simulator sim;
-        std::uint64_t sink = 0;
-        for (int t = 1; t <= 64; ++t) {
-            for (int i = 0; i < cohort; ++i) {
-                sim.schedule_at(Time(t * 1'000), [&sink] { ++sink; });
-            }
-        }
-        while (sim.run_batch() > 0) {
-        }
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * cohort);
-}
-BENCHMARK(BM_RunBatchDrain)->Arg(16)->Arg(256);
-
 void BM_RunUntilDrain(benchmark::State& state) {
     const int cohort = static_cast<int>(state.range(0));
     for (auto _ : state) {

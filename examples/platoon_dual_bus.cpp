@@ -14,7 +14,8 @@
 // Adding `.domains(n)` to the builder would shard the three vehicles across
 // n ECU-domain worker threads with identical results — tests/test_sharded.cpp
 // runs this scenario's shape (scenario::presets) at 1/2/4 domains and locks
-// the counters in. This example keeps the default single-queue kernel.
+// the counters in. This example keeps the default of one domain, whose
+// windows run on the calling thread.
 //
 // Build & run:  ./build/examples/platoon_dual_bus
 

@@ -53,7 +53,12 @@ Medium::Medium(sim::Simulator& simulator, MediumConfig config)
     SA_REQUIRE(config_.range_m >= 0.0, "radio range must be non-negative");
     SA_REQUIRE(config_.fading == Fading::None || config_.range_m > 0.0,
                "a fading model needs a finite radio range (range_m > 0)");
-    if (sim::ShardedKernel* kernel = simulator_.shard()) {
+    // A one-domain kernel has no other domain to wait for, so a zero
+    // latency is legal there; a positive one still bounds its windows,
+    // keeping the window count equal at every domain count.
+    sim::ShardedKernel* kernel = simulator_.shard();
+    if (kernel != nullptr &&
+        (kernel->num_domains() > 1 || config_.latency.count_ns() > 0)) {
         SA_REQUIRE(config_.latency.count_ns() > 0,
                    "a V2V medium on a sharded kernel needs a positive "
                    "latency (it becomes every domain's lookahead)");

@@ -183,8 +183,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
         }
         SA_REQUIRE(domain < num_domains_,
                    "vehicle '" + name + "' pinned to domain out of range");
-        scenario->vehicles_.emplace(name,
-                                    it->build(scenario->domain_simulator(domain)));
+        scenario->vehicles_.emplace(name, it->build(scenario->kernel_.domain(domain)));
         scenario->order_.push_back(name);
     }
     for (const auto& spec : bridges_) {
@@ -248,17 +247,12 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     }
     Scenario* raw = scenario.get();
     for (const auto& script : scripts_) {
-        if (scenario->kernel_) {
-            // Scripts are global barriers under sharding: they run at
-            // exactly `when` with every domain quiescent, so they may touch
-            // any vehicle without racing the workers.
-            scenario->kernel_->schedule_script(
-                sim::Time(script.when.count_ns()),
-                [raw, action = script.action] { action(*raw); });
-        } else {
-            (void)scenario->simulator_.schedule(
-                script.when, [raw, action = script.action] { action(*raw); });
-        }
+        // Scripts are global barriers: they run at exactly `when` with every
+        // domain quiescent, so they may touch any vehicle without racing
+        // the workers.
+        scenario->kernel_.schedule_script(
+            sim::Time(script.when.count_ns()),
+            [raw, action = script.action] { action(*raw); });
     }
     return scenario;
 }

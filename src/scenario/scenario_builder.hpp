@@ -1,7 +1,7 @@
 #pragma once
-// ScenarioBuilder: N vehicles on one simulator plus the cooperation
-// substrate (trust records, V2V channel, platoon candidates) and scripted
-// events, producing a Scenario with a single run()/report() surface.
+// ScenarioBuilder: N vehicles on one kernel plus the cooperation substrate
+// (trust records, V2V channel, platoon candidates) and scripted events,
+// producing a Scenario with a single run()/report() surface.
 
 #include <cstdint>
 #include <functional>
@@ -45,8 +45,8 @@ public:
 
     /// Partition the scenario into `n` ECU domains (sim::ShardedKernel).
     /// Vehicles are assigned round-robin in declaration order unless pinned
-    /// via VehicleBuilder::domain(). 1 (the default) builds everything on
-    /// one single-queue Simulator — bit-for-bit today's behaviour.
+    /// via VehicleBuilder::domain(). 1 (the default) puts everything in one
+    /// domain, whose windows run on the calling thread.
     ScenarioBuilder& domains(std::size_t n);
 
     /// Declare a scenario-level bridge joining buses of different vehicles.
@@ -72,7 +72,8 @@ public:
     ScenarioBuilder& platoon_maneuvers(platoon::ManeuverPolicy policy);
 
     // --- scripted events ----------------------------------------------------
-    /// Run `action` at absolute simulation time `when`.
+    /// Run `action` at absolute simulation time `when`, at a script barrier
+    /// (every domain quiescent; sim::ShardedKernel::schedule_script()).
     ScenarioBuilder& at(sim::Duration when, std::function<void(Scenario&)> action);
 
     /// Declare how long the scenario is intended to run. Purely a lint

@@ -149,27 +149,6 @@ bool EventQueue::pop_until(Time until, Popped& out) {
     return true;
 }
 
-Time EventQueue::pop_batch(std::vector<Action>& out) {
-    prune_front();
-    SA_REQUIRE(!heap_.empty(), "pop_batch on empty queue");
-    Bucket* bucket = heap_.front();
-    const Time at(bucket->at);
-    // The whole cohort leaves the queue in one pass: live actions move to
-    // `out`, every slot is released, and the bucket is recycled. Events
-    // pushed at this timestamp by the caller afterwards open a new bucket.
-    for (std::size_t i = bucket->next; i < bucket->items.size(); ++i) {
-        Item& item = bucket->items[i];
-        if (slots_[item.slot].live) {
-            out.push_back(std::move(item.action));
-            --live_;
-        }
-        item.action = nullptr;
-        release_slot(item.slot);
-    }
-    retire_front_bucket();
-    return at;
-}
-
 void EventQueue::clear() noexcept {
     // Release every pending slot (bumping its generation) so outstanding
     // handles can never cancel events scheduled after the clear.

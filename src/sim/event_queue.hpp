@@ -6,8 +6,7 @@
 // order. Pushing into an existing bucket and popping within a bucket are
 // amortised O(1); the O(log n) heap work is paid once per distinct timestamp
 // instead of once per event. This is what makes dense same-time cohorts
-// (periodic monitors, batched CAN windows) cheap, and it is the foundation
-// of Simulator::run_batch().
+// (periodic monitors, batched CAN windows) cheap.
 //
 // Memory layout (the steady-state hot path is allocation-free):
 //  - Actions are util::InlineCallable with 24 bytes of inline storage — an
@@ -111,16 +110,6 @@ public:
     /// pop(), but with a single front-pruning pass — this is the simulator
     /// run-loop fast path.
     bool pop_until(Time until, Popped& out);
-
-    /// Batched drain: move ALL live events at the earliest timestamp into
-    /// `out` (appended, in FIFO order) in one call and return that
-    /// timestamp. Requires !empty().
-    ///
-    /// Cancellation contract: the extracted events are no longer pending —
-    /// cancel() on their handles returns false from this point on, even if
-    /// the caller has not invoked them yet. Events pushed at the same
-    /// timestamp *after* this call form a new cohort and are not included.
-    Time pop_batch(std::vector<Action>& out);
 
     void clear() noexcept;
 

@@ -35,9 +35,9 @@ ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed) {
     domains_.reserve(num_domains);
     for (std::size_t d = 0; d < num_domains; ++d) {
         // Domain 0 keeps the raw seed: a standalone Simulator(seed) and
-        // domain 0 of any sharded run draw the same stream, so moving a
-        // workload between the single-queue and sharded kernels (or between
-        // domain counts) never changes what its noise sources produce.
+        // domain 0 of any kernel draw the same stream, so moving a workload
+        // between domain counts never changes what its noise sources
+        // produce.
         domains_.push_back(std::unique_ptr<DomainKernel>(new DomainKernel(
             d, d == 0 ? seed : mix_seed(seed, d), num_domains)));
         domains_.back()->simulator_.shard_ = this;
@@ -119,8 +119,8 @@ void ShardedKernel::ensure_workers() {
         return;
     }
     workers_started_ = true;
-    // Flips the process-wide ownership guards from their single-queue fast
-    // path to the full thread-local check (see Simulator::owned_by_caller).
+    // Flips the process-wide ownership guards from their one-load fast path
+    // to the full thread-local check (see Simulator::owned_by_caller).
     detail::add_active_sharded_kernels(1);
     for (auto& domain : domains_) {
         DomainKernel* raw = domain.get();
@@ -162,6 +162,15 @@ void ShardedKernel::worker_main(DomainKernel& domain) {
 }
 
 void ShardedKernel::run_window(Time window_end) {
+    if (domains_.size() == 1) {
+        // The calling thread is the only one that touches the domain: run
+        // the window inline, with no hand-off and no thread-local marking.
+        // An exception surfaces directly, and there are no outboxes.
+        ++windows_;
+        domains_.front()->simulator_.run_until(window_end);
+        return;
+    }
+    ensure_workers();
     {
         std::unique_lock<std::mutex> lock(mutex_);
         window_end_ = window_end;
@@ -224,7 +233,6 @@ void ShardedKernel::post_from(std::size_t from, std::size_t to, Time at,
 
 std::size_t ShardedKernel::run_until(Time until) {
     SA_REQUIRE(until >= now_, "cannot run into the past");
-    ensure_workers();
     const std::uint64_t executed_before = executed_events();
     // Consume any stale stop request on entry, mirroring
     // Simulator::run_until: a stop aimed at an idle kernel is discarded
@@ -300,7 +308,7 @@ std::size_t ShardedKernel::run_until(Time until) {
     if (!stopped && until != Time::max()) {
         // Align every clock with the end of the observed span, mirroring
         // Simulator::run_until — relative scheduling after the run starts
-        // from the same "now" a single-queue run would report.
+        // from the same "now" at every domain count.
         for (auto& domain : domains_) {
             domain->simulator_.advance_to(until);
         }
@@ -312,9 +320,9 @@ std::size_t ShardedKernel::run_until(Time until) {
 void post(Simulator& target, Time at, EventQueue::Action action) {
     const Simulator* executing = detail::executing_domain();
     if (executing == nullptr || executing == &target) {
-        // Quiescent context (main thread, coordinator/script barrier) or a
-        // same-domain send: plain scheduling is already safe and keeps the
-        // legacy single-queue order bit-for-bit.
+        // Quiescent context (main thread, coordinator/script barrier, inline
+        // one-domain window) or a same-domain send: plain scheduling is
+        // already safe and keeps the domain's own queue order.
         (void)target.schedule_at(at, std::move(action));
         return;
     }

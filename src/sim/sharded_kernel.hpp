@@ -1,14 +1,18 @@
 #pragma once
 // Sharded discrete-event kernel: one Simulator per ECU domain, coordinated
 // with conservative lookahead so domains advance in parallel on worker
-// threads while staying deterministic.
+// threads while staying deterministic. It is the only kernel a Scenario
+// runs on, for one domain as for many.
 //
 // Partitioning model. A ShardedKernel owns N DomainKernels; each DomainKernel
 // owns a private Simulator (bucketed event queue, clock, RNG, periodic
-// registry) and a worker thread. Everything scheduled on a domain's
-// simulator executes on that domain's worker — a domain is exactly the
-// single-threaded kernel it always was, so no subsystem needs locks for its
-// own state.
+// registry). With N > 1 each domain gets a worker thread and everything
+// scheduled on a domain's simulator executes on that worker — a domain is
+// exactly the single-threaded kernel it always was, so no subsystem needs
+// locks for its own state. With N == 1 the kernel runs each window inline
+// on the calling thread: no worker, no hand-off, and the process-wide
+// ownership guards stay on their fast path (detail::active_sharded_kernels()
+// counts only kernels with workers).
 //
 // Conservative lookahead. Cross-domain interactions (CAN gateway forwards,
 // V2V delivery) carry a minimum link latency, declared up front via
@@ -33,16 +37,17 @@
 // every clock aligned (Simulator::advance_to), so a script may touch any
 // domain — inject faults, rewire routes, destroy a vehicle — without racing
 // the workers. This is how scenario-level interventions stay race-free
-// without carrying a lookahead of their own.
+// without carrying a lookahead of their own. Scripts are not events: they
+// do not count towards executed_events().
 //
-// Determinism. Within a domain, execution order is the single-queue order of
-// that domain's events. Entities that do not share simulator-level state
-// (distinct vehicles) therefore observe event sequences identical to a
-// single-queue run, and per-entity counters reproduce bit-for-bit across
-// domain counts — the property the sharded determinism suite locks in. The
-// one documented reorder: a script whose time collides with the *first*
-// occurrence of a periodic armed before build finished runs before it here,
-// after it on the single queue.
+// Determinism. Within a domain, execution order is the queue order of that
+// domain's events. Entities that do not share simulator-level state
+// (distinct vehicles) therefore observe identical event sequences at every
+// domain count, and per-entity counters and executed_events() reproduce
+// bit-for-bit across domain counts — windows() too when every domain
+// declares the same lookahead, as a V2V medium does. The sharded
+// determinism suite locks this in. A script whose time collides with an
+// event's runs before that event: the barrier comes first.
 
 #include <atomic>
 #include <condition_variable>
@@ -62,7 +67,8 @@ namespace sa::sim {
 inline constexpr Duration kUnboundedLookahead = Duration(INT64_MAX);
 
 /// One shard of a sharded simulation: a private Simulator plus its worker
-/// thread and outboxes. Created and owned by ShardedKernel.
+/// thread (none for a one-domain kernel) and outboxes. Created and owned by
+/// ShardedKernel.
 class DomainKernel {
 public:
     DomainKernel(const DomainKernel&) = delete;
@@ -103,12 +109,12 @@ class ShardedKernel {
 public:
     /// Domain 0 is seeded with `seed` itself (identical to a standalone
     /// Simulator(seed)); domains 1+ get independent streams derived via
-    /// splitmix64, so a sharded run is reproducible from one seed and
-    /// domain-0 workloads are stream-identical across domain counts.
+    /// splitmix64, so a run is reproducible from one seed and domain-0
+    /// workloads are stream-identical across domain counts.
     explicit ShardedKernel(std::size_t num_domains,
                            std::uint64_t seed = 0x5AA5F00DULL);
-    /// Joins the worker threads. Pending events are dropped with their
-    /// queues, like a Simulator destroyed mid-run.
+    /// Joins the worker threads, if any. Pending events are dropped with
+    /// their queues, like a Simulator destroyed mid-run.
     ~ShardedKernel();
 
     ShardedKernel(const ShardedKernel&) = delete;
@@ -154,7 +160,7 @@ public:
     [[nodiscard]] Time progress() const noexcept;
     /// Events executed across all domains since construction.
     [[nodiscard]] std::uint64_t executed_events() const noexcept;
-    /// Parallel windows executed (diagnostic: work per barrier).
+    /// Windows executed (diagnostic: work per barrier).
     [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
     /// Cross-domain events delivered through the mailboxes (diagnostic).
     [[nodiscard]] std::uint64_t cross_domain_events() const noexcept {
@@ -171,7 +177,8 @@ private:
 
     void ensure_workers();
     void worker_main(DomainKernel& domain);
-    /// Run one parallel window: every domain drains to `window_end`.
+    /// Run one window: every domain drains to `window_end` (in parallel on
+    /// the workers, or inline when there is one domain).
     void run_window(Time window_end);
     /// Merge all outboxes into their target queues, deterministically.
     void flush_outboxes();
@@ -212,10 +219,10 @@ private:
 };
 
 /// Schedule `action` at absolute time `at` on `target`, routing through the
-/// sharded mailboxes when (and only when) the caller is executing a window
-/// of a *different* domain. From quiescent contexts (main thread between
-/// runs, a script barrier) or for an unsharded simulator this is exactly
-/// Simulator::schedule_at. Cross-domain sends must satisfy the conservative
+/// sharded mailboxes when (and only when) the caller is executing a worker
+/// window of a *different* domain. From quiescent contexts (main thread
+/// between runs, a script barrier, an inline one-domain window) or for a
+/// standalone simulator this is exactly Simulator::schedule_at. Cross-domain sends must satisfy the conservative
 /// contract: `at` must lie at or beyond the current window's horizon, which
 /// holds by construction when `at` = sender-domain now + a declared link
 /// latency.

@@ -1,16 +1,15 @@
 #pragma once
 // Discrete-event simulation kernel. Single-threaded and deterministic:
-// the same seed and setup always produce the same trace. All substrates
-// (CAN bus, ECU schedulers, vehicle dynamics, platoon messaging) run on one
-// Simulator instance so their interleavings are globally ordered. For
-// multi-domain scale-out, a ShardedKernel (sim/sharded_kernel.hpp) owns one
-// Simulator per ECU domain and coordinates them with conservative lookahead;
-// each domain remains exactly this single-threaded kernel inside its window.
+// the same seed and setup always produce the same trace. All substrates of
+// one ECU domain (CAN bus, ECU schedulers, vehicle dynamics, platoon
+// messaging) run on one Simulator so their interleavings are globally
+// ordered. A ShardedKernel (sim/sharded_kernel.hpp) owns one Simulator per
+// domain and drives them through run_until() windows — with one domain on
+// the calling thread, with several in parallel under conservative
+// lookahead; each domain remains exactly this kernel inside its window.
 //
-// Two drain paths exist: run_until()/step() execute one event at a time and
-// honour stop() between any two events; run_batch() drains one timestamp
-// cohort per call through EventQueue::pop_batch(), trading per-event control
-// for one queue round-trip per cohort (see the run_batch() contract below).
+// There is one drain loop, run_until(): it executes one event at a time and
+// honours stop() between any two events.
 
 #include <atomic>
 #include <cstdint>
@@ -27,16 +26,17 @@ class ShardedKernel;
 class Simulator;
 
 namespace detail {
-/// The simulator whose sharded window is executing on the calling thread,
-/// or nullptr outside a window (main thread, coordinator thread, plain
-/// single-queue runs). Set by ShardedKernel around each domain window; the
-/// worker thread is the domain's sole owner for the window, hence mutable.
+/// The simulator whose sharded window is executing on a worker thread, or
+/// nullptr everywhere else (main thread, coordinator thread, standalone
+/// simulators, inline one-domain windows). Set by ShardedKernel around each
+/// worker window; the worker is the domain's sole owner for the window,
+/// hence mutable.
 [[nodiscard]] Simulator* executing_domain() noexcept;
 void set_executing_domain(Simulator* simulator) noexcept;
 /// Count of ShardedKernels with live worker threads in this process. While
-/// zero (every purely single-queue program), the ownership guards reduce to
-/// one relaxed global load — no thread-local access on the scheduling hot
-/// path.
+/// zero (every program whose kernels have one domain: those run their
+/// windows inline and start no workers), the ownership guards reduce to one
+/// relaxed global load — no thread-local access on the scheduling hot path.
 [[nodiscard]] int active_sharded_kernels() noexcept;
 void add_active_sharded_kernels(int delta) noexcept;
 } // namespace detail
@@ -93,42 +93,19 @@ public:
     /// Run for `span` from now.
     std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
-    /// Drain ONE timestamp cohort: every event pending at the next timestamp
-    /// (if it is <= `until`) is popped in a single EventQueue::pop_batch()
-    /// call and executed in FIFO order. Returns the number of events
-    /// executed (0 if nothing is pending before `until`).
-    ///
-    /// Contract differences vs run_until():
-    ///  - The cohort is extracted from the queue before execution, so
-    ///    cancelling a same-timestamp event from within the cohort has no
-    ///    effect — it already left the queue (EventQueue::pop_batch()).
-    ///  - stop() does not interrupt a cohort; the next run_batch() call
-    ///    observes the request, returns 0 (leaving remaining events
-    ///    queued), and clears it — ending a `while (run_batch() > 0)` loop.
-    ///  - Unlike run_until(until), run_batch never advances now() to the
-    ///    horizon when nothing is due; time only moves to executed cohorts'
-    ///    timestamps.
-    /// Events scheduled *during* the cohort at the same timestamp form a new
-    /// cohort and are picked up by the next call, preserving the global
-    /// FIFO-within-timestamp order of run_until().
-    std::size_t run_batch(Time until = Time::max());
-
-    /// Execute exactly one event if one is pending before `until`.
-    bool step(Time until = Time::max());
-
     /// Request that run_until return after the current event completes.
     /// Thread-safe: the flag is atomic, so a monitor on another domain's
     /// worker thread (or any external thread) may request a stop without
-    /// racing the owning drain loop. Note the drain loops still consume the
-    /// flag on entry, so a stop aimed at an idle simulator is discarded; to
-    /// stop a whole sharded run use ShardedKernel::stop().
+    /// racing the owning drain loop. Note run_until() consumes the flag on
+    /// entry, so a stop aimed at an idle simulator is discarded; to stop a
+    /// whole sharded run use ShardedKernel::stop().
     void stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
 
     /// Advance the clock to `at` without executing anything. Requires that
     /// no event is pending before `at` and `at` >= now(). The sharded
     /// kernel uses this to align domain clocks on script barriers and at
     /// the end of a run, so "schedule after delay from now" keeps meaning
-    /// the same thing it does on the single-queue kernel.
+    /// the same thing at every domain count.
     void advance_to(Time at);
 
     /// Earliest pending event time, or Time::max() when idle.
@@ -202,7 +179,6 @@ private:
     // pinning the old map-based registry needed.
     std::vector<PeriodicSlot> periodics_;
     std::vector<std::uint32_t> free_periodics_;
-    std::vector<EventQueue::Action> batch_; ///< reused run_batch() buffer
 };
 
 } // namespace sa::sim

@@ -325,7 +325,7 @@ TEST(ZeroAllocPins, RunBatchAndPeriodicsSteadyState) {
     std::uint64_t ticks = 0;
     const std::uint64_t id =
         sim.schedule_periodic(Duration::us(100), [&ticks] { ++ticks; });
-    sim.run_for(Duration::ms(10)); // warm: queue, periodic slot, batch buffer
+    sim.run_for(Duration::ms(10)); // warm: queue, periodic slot
     alloc_hook::CountScope scope;
     sim.run_for(Duration::ms(50));
     EXPECT_EQ(scope.allocations(), 0u)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "scenario/scenario_builder.hpp"
 
 namespace {
@@ -408,6 +410,30 @@ TEST(ScenarioBuilder, OutOfRangeDomainPinRejectedAtBuild) {
         .ecu({"ecu", 1.0, 0.75, model::Asil::D, "zone", "part"})
         .domain(2);
     EXPECT_NO_THROW((void)ok.build());
+}
+
+TEST(Scenario, OneDomainRunsInlineWithoutWorkerThreads) {
+    // The default partition runs on the same kernel as domains(n > 1), but
+    // its windows execute on the calling thread: no worker is started, so
+    // the process-wide ownership guards keep their one-load fast path.
+    scenario::ScenarioBuilder builder(23);
+    builder.vehicle("ego")
+        .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+        .contracts(kMiniContracts);
+    bool script_ran = false;
+    builder.at(Duration::ms(100), [&](scenario::Scenario&) { script_ran = true; });
+    auto scenario = builder.build();
+    std::thread::id event_thread;
+    scenario->simulator().schedule(Duration::ms(50), [&] {
+        event_thread = std::this_thread::get_id();
+    });
+    scenario->run(Duration::ms(500));
+
+    EXPECT_TRUE(script_ran);
+    EXPECT_EQ(event_thread, std::this_thread::get_id());
+    EXPECT_EQ(scenario->num_domains(), 1u);
+    EXPECT_GE(scenario->kernel().windows(), 2u); // split by the script barrier
+    EXPECT_EQ(sim::detail::active_sharded_kernels(), 0);
 }
 
 // --- declarative skills + unified degradation --------------------------------------

@@ -1,15 +1,17 @@
 // Tests for the sharded kernel: conservative-lookahead windows, the
 // deterministic cross-domain mailboxes, script barriers, the foreign-thread
 // contracts on the periodic registry, cross-domain gateway routes and V2V —
-// and the determinism suite: the dual-bus platoon produces identical
-// per-vehicle counters and CAN event traces for num_domains in {1, 2, 4},
-// and identical everything when re-run with the same seed.
+// the determinism suite: the dual-bus platoon produces identical
+// per-vehicle counters, CAN event traces and kernel counters for
+// num_domains in {1, 2, 4}, and identical everything when re-run with the
+// same seed — and logging from concurrent domain windows.
 //
 // The whole file is ThreadSanitizer-relevant: the CI tsan job runs it with
 // SA_SANITIZE=thread.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "scenario/scenario_builder.hpp"
 #include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
 
 namespace {
 
@@ -33,11 +36,16 @@ using sim::Time;
 
 TEST(ShardedKernel, RunsIndependentDomainsToTheHorizon) {
     sim::ShardedKernel kernel(2, 42);
-    std::vector<int> fired;
-    kernel.domain(0).schedule(Duration::us(10), [&] { fired.push_back(0); });
-    kernel.domain(1).schedule(Duration::us(20), [&] { fired.push_back(1); });
+    // One log per domain: the two workers run concurrently, so they must
+    // not share a container. Merged after the run (order across domains is
+    // unspecified by the kernel's contract).
+    std::vector<int> fired_by[2];
+    kernel.domain(0).schedule(Duration::us(10), [&] { fired_by[0].push_back(0); });
+    kernel.domain(1).schedule(Duration::us(20), [&] { fired_by[1].push_back(1); });
 
     const std::size_t executed = kernel.run_until(Time(Duration::ms(1).count_ns()));
+    std::vector<int> fired = fired_by[0];
+    fired.insert(fired.end(), fired_by[1].begin(), fired_by[1].end());
 
     EXPECT_EQ(executed, 2u);
     EXPECT_EQ(kernel.executed_events(), 2u);
@@ -162,22 +170,23 @@ TEST(ShardedKernel, ScriptsAtEqualTimesRunInRegistrationOrder) {
 
 TEST(ShardedKernel, RunToTimeMaxDrainsAndReturns) {
     sim::ShardedKernel kernel(2, 42);
-    std::uint64_t fired = 0;
-    kernel.domain(0).schedule(Duration::us(10), [&] { ++fired; });
-    kernel.domain(1).schedule(Duration::ms(3), [&] { ++fired; });
+    // One counter per domain: the two workers run concurrently.
+    std::uint64_t fired_by[2] = {0, 0};
+    kernel.domain(0).schedule(Duration::us(10), [&] { ++fired_by[0]; });
+    kernel.domain(1).schedule(Duration::ms(3), [&] { ++fired_by[1]; });
 
     const std::size_t executed = kernel.run_until(Time::max());
 
     EXPECT_EQ(executed, 2u);
-    EXPECT_EQ(fired, 2u);
+    EXPECT_EQ(fired_by[0] + fired_by[1], 2u);
     // Clocks stay at the last executed events — NOT at the numeric limit —
     // so the kernel remains usable for further relative scheduling.
     EXPECT_EQ(kernel.domain(0).now(), Time(Duration::us(10).count_ns()));
     EXPECT_EQ(kernel.domain(1).now(), Time(Duration::ms(3).count_ns()));
     EXPECT_EQ(kernel.now(), Time(Duration::ms(3).count_ns()));
-    kernel.domain(0).schedule(Duration::ms(1), [&] { ++fired; });
+    kernel.domain(0).schedule(Duration::ms(1), [&] { ++fired_by[0]; });
     kernel.run_for(Duration::ms(10));
-    EXPECT_EQ(fired, 3u);
+    EXPECT_EQ(fired_by[0] + fired_by[1], 3u);
 }
 
 TEST(ShardedKernel, PostToAnUnshardedSimulatorFromAWindowIsRejected) {
@@ -438,6 +447,12 @@ TEST(ShardedV2v, ZeroLatencyMediumOnAShardedKernelIsRejected) {
                  sa::ContractViolation);
 }
 
+TEST(ShardedV2v, ZeroLatencyMediumOnOneDomainIsAccepted) {
+    // One domain has no lookahead to grant: zero latency stays legal there.
+    sim::ShardedKernel kernel(1, 42);
+    EXPECT_NO_THROW(v2v::Medium(kernel.domain(0), {.latency = Duration::zero()}));
+}
+
 // --- determinism: the dual-bus platoon across domain counts ------------------------
 
 const char* const kPlatoonVehicles[] = {"alpha", "beta", "gamma"};
@@ -449,12 +464,22 @@ void declare_platoon_vehicle(scenario::ScenarioBuilder& builder,
     scenario::presets::declare_dual_bus_platoon_vehicle(builder, name);
 }
 
-/// Everything a run can observably produce, flattened into strings.
+/// Everything a run can observably produce: per-vehicle state flattened
+/// into strings, plus the kernel's own counters.
 struct RunFingerprint {
     std::vector<std::string> vehicles; ///< per-vehicle counters + CAN traces
     std::string v2v;
+    std::uint64_t events = 0;  ///< kernel().executed_events()
+    std::uint64_t windows = 0; ///< kernel().windows()
     bool operator==(const RunFingerprint&) const = default;
 };
+
+RunFingerprint kernel_counters(scenario::Scenario& scenario) {
+    RunFingerprint fp;
+    fp.events = scenario.kernel().executed_events();
+    fp.windows = scenario.kernel().windows();
+    return fp;
+}
 
 std::string trace_fingerprint(const sim::Trace& trace) {
     std::string out;
@@ -498,7 +523,7 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
 
     scenario->run(Duration::sec(2), num_domains);
 
-    RunFingerprint fp;
+    RunFingerprint fp = kernel_counters(*scenario);
     for (const char* name : kPlatoonVehicles) {
         auto& v = scenario->vehicle(name);
         std::string s = v.report().str();
@@ -538,6 +563,12 @@ TEST(ShardedDeterminism, DomainCountDoesNotChangeTheResults) {
     }
     EXPECT_EQ(one.v2v, two.v2v);
     EXPECT_EQ(one.v2v, four.v2v);
+    // The kernel's counters mean the same thing at every partition: scripts
+    // are uncounted barriers at 1 domain too.
+    EXPECT_EQ(one.events, two.events);
+    EXPECT_EQ(one.events, four.events);
+    EXPECT_EQ(one.windows, two.windows);
+    EXPECT_EQ(one.windows, four.windows);
 }
 
 // --- determinism: degradation-triggered split across domain counts ------------------
@@ -555,9 +586,8 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, std::uint64_t seed)
         builder.trust(name, 14).platoon_candidate({name, 0.9, 24.0, 10.0, false});
     }
     platoon::ManeuverPolicy policy;
-    // Off-grid check period: no collision with any periodic of the preset
-    // (20 ms tasks, 500 ms self-model), so script-barrier ordering vs.
-    // single-queue ordering cannot diverge at shared timestamps.
+    // Off-grid check period: no check shares a timestamp with a periodic
+    // of the preset (20 ms tasks, 500 ms self-model).
     policy.check_period = Duration::ms(247);
     builder.platoon_maneuvers(policy);
     builder
@@ -572,7 +602,7 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, std::uint64_t seed)
     auto scenario = builder.build();
     scenario->run(Duration::sec(2), num_domains);
 
-    RunFingerprint fp;
+    RunFingerprint fp = kernel_counters(*scenario);
     for (const char* name : kPlatoonVehicles) {
         auto& v = scenario->vehicle(name);
         std::string s = v.report().str();
@@ -618,6 +648,10 @@ TEST(ShardedDeterminism, ManeuverScenarioIdenticalAcrossDomainCounts) {
     }
     EXPECT_EQ(one.v2v, two.v2v) << "platoon/maneuver state diverged (2 domains)";
     EXPECT_EQ(one.v2v, four.v2v) << "platoon/maneuver state diverged (4 domains)";
+    EXPECT_EQ(one.events, two.events);
+    EXPECT_EQ(one.events, four.events);
+    EXPECT_EQ(one.windows, two.windows);
+    EXPECT_EQ(one.windows, four.windows);
     // And the degradation actually triggered the maneuver we claim to test.
     EXPECT_NE(one.v2v.find("split(beta)"), std::string::npos) << one.v2v;
 }
@@ -644,6 +678,45 @@ TEST(ShardedDeterminism, RunKnobCrossChecksThePartition) {
     EXPECT_THROW(scenario->run(Duration::ms(1), 4), sa::ContractViolation);
     EXPECT_NO_THROW(scenario->run(Duration::ms(1), 2));
     EXPECT_NO_THROW(scenario->run(Duration::ms(2)));
+}
+
+// --- logging from concurrent domain windows -----------------------------------------
+
+TEST(ShardedLog, StormsLoggedFromBothDomainsReachOneSink) {
+    // Fault injection (and the coordinators reacting to it) log from inside
+    // the domain windows, i.e. from both worker threads at the same
+    // simulated instant. util::Log serialises the sink calls, so a plain
+    // capturing sink needs no lock of its own.
+    std::vector<std::string> lines; // written only under Log's sink mutex
+    const LogLevel previous = Log::level();
+    Log::set_level(LogLevel::Warn);
+    Log::set_sink([&lines](LogLevel, const std::string& line) { lines.push_back(line); });
+    {
+        scenario::ScenarioBuilder builder(2026);
+        builder.domains(2);
+        for (const char* name : kPlatoonVehicles) {
+            declare_platoon_vehicle(builder, name);
+        }
+        auto scenario = builder.build();
+        for (const char* name : kPlatoonVehicles) {
+            scenario::Vehicle& v = scenario->vehicle(name);
+            (void)v.simulator().schedule(Duration::ms(100), [&v] {
+                v.rte().access().grant("perception", "brake_cmd");
+                v.faults().compromise_with_message_storm("perception", "brake_cmd",
+                                                         Duration::ms(2));
+            });
+        }
+        EXPECT_EQ(scenario->vehicle("alpha").simulator().shard_domain(), 0u);
+        EXPECT_EQ(scenario->vehicle("beta").simulator().shard_domain(), 1u);
+        scenario->run(Duration::ms(500));
+    }
+    Log::set_sink(nullptr);
+    Log::set_level(previous);
+
+    const auto storms = std::count_if(lines.begin(), lines.end(), [](const std::string& l) {
+        return l.starts_with("fault injected: compromise of perception");
+    });
+    EXPECT_EQ(storms, 3);
 }
 
 } // namespace

@@ -124,43 +124,6 @@ TEST(EventQueue, CancelAfterClearIsRejected) {
     EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, PopBatchDrainsWholeCohortInFifoOrder) {
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 10; ++i) {
-        q.push(Time(5), [&fired, i] { fired.push_back(i); });
-    }
-    q.push(Time(7), [&fired] { fired.push_back(99); });
-    std::vector<EventQueue::Action> batch;
-    EXPECT_EQ(q.pop_batch(batch).ns(), 5);
-    EXPECT_EQ(batch.size(), 10u);
-    EXPECT_EQ(q.size(), 1u); // the Time(7) event stays queued
-    for (auto& a : batch) {
-        a();
-    }
-    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-TEST(EventQueue, PopBatchSkipsCancelledAndReleasesHandles) {
-    EventQueue q;
-    std::vector<int> fired;
-    q.push(Time(5), [&] { fired.push_back(0); });
-    auto h = q.push(Time(5), [&] { fired.push_back(1); });
-    q.push(Time(5), [&] { fired.push_back(2); });
-    EXPECT_TRUE(q.cancel(h));
-    std::vector<EventQueue::Action> batch;
-    (void)q.pop_batch(batch);
-    ASSERT_EQ(batch.size(), 2u);
-    for (auto& a : batch) {
-        a();
-    }
-    EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-    EXPECT_TRUE(q.empty());
-    // Extracted events left the queue: their handles are dead (documented
-    // pop_batch cancellation contract).
-    EXPECT_FALSE(q.cancel(h));
-}
-
 // --- Simulator -------------------------------------------------------------------
 
 TEST(Simulator, RunsEventsInOrder) {
@@ -245,83 +208,6 @@ TEST(Simulator, StopBreaksRun) {
     EXPECT_EQ(count, 3);
 }
 
-TEST(Simulator, BatchDrainMatchesStepDrain) {
-    // The same workload executed through run_batch() cohorts and through
-    // per-event step() must produce the same order, times and event count:
-    // nested same-timestamp scheduling included.
-    const auto build = [](Simulator& sim, std::vector<std::pair<int, std::int64_t>>& log) {
-        for (int i = 0; i < 4; ++i) {
-            sim.schedule_at(Time(10), [&log, &sim, i] {
-                log.emplace_back(i, sim.now().ns());
-                if (i == 1) {
-                    // Same-timestamp event scheduled from within the cohort:
-                    // runs after the current cohort, still at t=10.
-                    sim.schedule_at(Time(10), [&log, &sim] {
-                        log.emplace_back(100, sim.now().ns());
-                    });
-                }
-            });
-        }
-        sim.schedule_at(Time(20), [&log, &sim] { log.emplace_back(200, sim.now().ns()); });
-    };
-
-    Simulator batch_sim;
-    std::vector<std::pair<int, std::int64_t>> batch_log;
-    build(batch_sim, batch_log);
-    std::size_t batch_total = 0;
-    for (std::size_t n = batch_sim.run_batch(); n > 0; n = batch_sim.run_batch()) {
-        batch_total += n;
-    }
-
-    Simulator step_sim;
-    std::vector<std::pair<int, std::int64_t>> step_log;
-    build(step_sim, step_log);
-    std::size_t step_total = 0;
-    while (step_sim.step()) {
-        ++step_total;
-    }
-
-    EXPECT_EQ(batch_total, 6u);
-    EXPECT_EQ(batch_total, step_total);
-    EXPECT_EQ(batch_log, step_log);
-    EXPECT_EQ(batch_sim.now(), step_sim.now());
-}
-
-TEST(Simulator, RunBatchHonorsHorizon) {
-    Simulator sim;
-    int runs = 0;
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(50), [&] { ++runs; });
-    EXPECT_EQ(sim.run_batch(Time(5)), 0u); // nothing due yet
-    EXPECT_EQ(sim.run_batch(Time(20)), 2u);
-    EXPECT_EQ(runs, 2);
-    EXPECT_EQ(sim.now().ns(), 10);
-    EXPECT_EQ(sim.run_batch(Time(20)), 0u); // Time(50) is past the horizon
-    EXPECT_EQ(sim.run_batch(), 1u);
-    EXPECT_EQ(runs, 3);
-}
-
-TEST(Simulator, StopEndsRunBatchLoopBetweenCohorts) {
-    Simulator sim;
-    int runs = 0;
-    sim.schedule_at(Time(10), [&] {
-        ++runs;
-        sim.stop(); // finishes this cohort, then the drain loop ends
-    });
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(20), [&] { ++runs; });
-    std::size_t cohorts = 0;
-    while (sim.run_batch() > 0) {
-        ++cohorts;
-    }
-    EXPECT_EQ(cohorts, 1u);
-    EXPECT_EQ(runs, 2);                  // the t=10 cohort completed
-    EXPECT_EQ(sim.pending_events(), 1u); // t=20 stays queued
-    EXPECT_EQ(sim.run_batch(), 1u);      // the request was consumed
-    EXPECT_EQ(runs, 3);
-}
-
 TEST(Simulator, StopDoesNotAdvanceTimePastPendingEvents) {
     // stop() with a finite horizon must leave now() at the stop point, not
     // jump to the horizon and strand still-queued events in the past.
@@ -338,26 +224,6 @@ TEST(Simulator, StopDoesNotAdvanceTimePastPendingEvents) {
     sim.run_until(Time(100)); // resumes cleanly: drains t=20, then horizon
     EXPECT_EQ(runs, 2);
     EXPECT_EQ(sim.now().ns(), 100);
-}
-
-TEST(Simulator, StopConsumedByRunUntilDoesNotStarveLaterBatches) {
-    // A stop() honored by run_until() must not leak into a later
-    // run_batch() drain and no-op it.
-    Simulator sim;
-    int runs = 0;
-    sim.schedule_at(Time(10), [&] {
-        ++runs;
-        sim.stop();
-    });
-    sim.schedule_at(Time(20), [&] { ++runs; });
-    sim.run_until(Time::max()); // returns after the stop; t=20 stays queued
-    EXPECT_EQ(runs, 1);
-    std::size_t executed = 0;
-    while (sim.run_batch() > 0) {
-        ++executed;
-    }
-    EXPECT_EQ(executed, 1u); // the drain actually ran
-    EXPECT_EQ(runs, 2);
 }
 
 TEST(Simulator, CancelledEventLeavesQueueEagerly) {
@@ -401,18 +267,6 @@ TEST(Simulator, PeriodicSelfCancelKeepsActionAlive) {
     sim.run_until(Time(Duration::ms(10).count_ns()));
     EXPECT_EQ(reads, 1);
     EXPECT_TRUE(sim.idle());
-}
-
-TEST(Simulator, StepExecutesOneEvent) {
-    Simulator sim;
-    int count = 0;
-    sim.schedule(Duration::us(1), [&] { ++count; });
-    sim.schedule(Duration::us(2), [&] { ++count; });
-    EXPECT_TRUE(sim.step());
-    EXPECT_EQ(count, 1);
-    EXPECT_TRUE(sim.step());
-    EXPECT_EQ(count, 2);
-    EXPECT_FALSE(sim.step());
 }
 
 // --- Signal ----------------------------------------------------------------------
