@@ -8,9 +8,9 @@
 //   2. Sharding: with the same workload partitioned across ECU domains
 //      (ScenarioBuilder::domains(n)), how does wall time scale with domain
 //      count? Cross-domain coupling is the 20 ms V2V beacon latency — the
-//      conservative lookahead — so each parallel window carries ~20 ms of
-//      dense per-domain gateway traffic. Speedup tracks physical cores: on a
-//      single-core host the sharded rows only add coordination overhead.
+//      conservative lookahead — so each window carries ~20 ms of dense
+//      per-domain gateway traffic. Every window runs on the calling thread,
+//      so the sharded rows measure the partition's coordination overhead.
 //
 // BM_BridgedBackbone adds the adversarial variant: scenario-level bridges
 // (cross-vehicle, cross-domain gateway routes at 100 us forward latency)
@@ -18,7 +18,7 @@
 // coupling costs the sharded kernel in barriers.
 //
 // Timing is manual (UseManualTime): scenario assembly is excluded, the
-// parallel run() is what's measured, wall-clock.
+// run() is what's measured, wall-clock.
 
 #include <benchmark/benchmark.h>
 

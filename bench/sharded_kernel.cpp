@@ -1,11 +1,11 @@
 // SHARD — the sharded kernel on the flagship scenario: the dual-bus
 // three-vehicle platoon (examples/platoon_dual_bus.cpp) run at 1, 2 and 4
-// ECU domains. domains:1 runs every window inline on the calling thread;
-// the sharded rows run the identical workload (identical per-vehicle
-// counters, events and windows — locked in by tests/test_sharded.cpp)
-// partitioned across worker threads with the 20 ms V2V latency as
-// conservative lookahead. Wall-clock speedup tracks physical cores; on a single-core
-// host the sharded rows surface pure coordination overhead instead.
+// ECU domains. Every row runs the identical workload (identical per-vehicle
+// counters, events and windows — locked in by tests/test_sharded.cpp), and
+// every window runs its domains in index order on the calling thread; the
+// sharded rows partition the vehicles with the 20 ms V2V latency as
+// conservative lookahead, so they measure the partition's barrier and
+// mailbox overhead.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
 

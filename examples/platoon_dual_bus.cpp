@@ -11,11 +11,11 @@
 // Before the sa::scenario builder, a scenario of this shape (3 vehicles x
 // 2 buses x gateway x layer stack x platoon substrate) was ~600 lines of
 // hand-wired assembly; it is the kind of composition the builder exists for.
-// Adding `.domains(n)` to the builder would shard the three vehicles across
-// n ECU-domain worker threads with identical results — tests/test_sharded.cpp
-// runs this scenario's shape (scenario::presets) at 1/2/4 domains and locks
-// the counters in. This example keeps the default of one domain, whose
-// windows run on the calling thread.
+// Adding `.domains(n)` to the builder would partition the three vehicles
+// across n ECU domains with identical results — tests/test_sharded.cpp runs
+// this scenario's shape (scenario::presets) at 1/2/4 domains and locks the
+// counters in. This example keeps the default of one domain; at any domain
+// count every window runs on the calling thread.
 //
 // Build & run:  ./build/examples/platoon_dual_bus
 

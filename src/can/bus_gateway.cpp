@@ -11,7 +11,7 @@ BusGateway::BusGateway(std::string name, Duration forward_latency)
     SA_REQUIRE(latency_.count_ns() >= 0, "forward latency must be non-negative");
 }
 
-BusGateway::~BusGateway() { alive_->store(false, std::memory_order_relaxed); }
+BusGateway::~BusGateway() { *alive_ = false; }
 
 CanController& BusGateway::port(CanBus& bus) {
     auto it = ports_.find(&bus);
@@ -44,7 +44,7 @@ void BusGateway::add_route(CanBus& from, CanBus& to, std::uint32_t id,
     CanController& egress = port(to);
     port(from).add_rx_filter(
         id, mask, [this, &egress, &ingress_sim](const CanFrame& frame, Time) {
-            forwarded_.fetch_add(1, std::memory_order_relaxed);
+            ++forwarded_;
             // Store-and-forward: the egress send happens after the gateway's
             // processing latency, from a fresh event (never from inside the
             // ingress bus's RX delivery), on the egress bus's domain when the
@@ -52,11 +52,11 @@ void BusGateway::add_route(CanBus& from, CanBus& to, std::uint32_t id,
             // the gateway being destroyed mid-flight.
             sim::post(egress.bus().simulator(), ingress_sim.now() + latency_,
                       [alive = alive_, this, &egress, frame] {
-                          if (!alive->load(std::memory_order_relaxed)) {
+                          if (!*alive) {
                               return;
                           }
                           if (!egress.send(frame)) {
-                              dropped_.fetch_add(1, std::memory_order_relaxed);
+                              ++dropped_;
                           }
                       });
         });

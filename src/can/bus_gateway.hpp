@@ -17,7 +17,6 @@
 // domain's lookahead bound — gateway routes are exactly the links whose
 // latency defines how far the domains may safely race ahead of each other.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -52,11 +51,11 @@ public:
 
     /// Frames accepted by a route filter and scheduled for forwarding.
     [[nodiscard]] std::uint64_t frames_forwarded() const noexcept {
-        return forwarded_.load(std::memory_order_relaxed);
+        return forwarded_;
     }
     /// Forwards that were dropped because the egress TX queue was full.
     [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
-        return dropped_.load(std::memory_order_relaxed);
+        return dropped_;
     }
     [[nodiscard]] std::size_t attached_bus_count() const noexcept {
         return ports_.size();
@@ -72,14 +71,10 @@ private:
     // Liveness guard for in-flight forward events: scheduled forwards check
     // the flag before touching the gateway, so destroying a gateway while
     // its simulator keeps running simply drops the pending forwards instead
-    // of dereferencing freed controllers. Atomic because the ingress and
-    // egress side of a cross-domain route run on different workers.
-    std::shared_ptr<std::atomic<bool>> alive_ =
-        std::make_shared<std::atomic<bool>>(true);
-    // Relaxed atomics: forwarded_ counts on the ingress worker, dropped_ on
-    // the egress worker; order-free sums.
-    std::atomic<std::uint64_t> forwarded_{0};
-    std::atomic<std::uint64_t> dropped_{0};
+    // of dereferencing freed controllers.
+    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+    std::uint64_t forwarded_ = 0; ///< counted on the ingress domain
+    std::uint64_t dropped_ = 0;   ///< counted on the egress domain
 };
 
 } // namespace sa::can

@@ -63,8 +63,8 @@ Medium::Medium(sim::Simulator& simulator, MediumConfig config)
                    "a V2V medium on a sharded kernel needs a positive "
                    "latency (it becomes every domain's lookahead)");
         // Any domain may carry a transmitter, so the frame latency bounds
-        // every domain's lookahead: it IS the window the domains may race
-        // ahead.
+        // every domain's lookahead: it IS how far apart the domains' clocks
+        // may drift within a window.
         for (std::size_t d = 0; d < kernel->num_domains(); ++d) {
             kernel->declare_lookahead(d, config_.latency);
         }
@@ -75,9 +75,8 @@ void Medium::require_quiescent(const char* operation) const {
     SA_REQUIRE(sim::detail::executing_domain() == nullptr,
                std::string("Medium::") + operation +
                    " called from inside a sharded window: membership and "
-                   "positions are read lock-free by every domain's "
-                   "transmit(); mutate only between runs or from a script "
-                   "barrier");
+                   "positions are read by every domain's transmit(); mutate "
+                   "only between runs or from a script barrier");
 }
 
 void Medium::attach(const std::string& name, sim::Simulator& home,
@@ -175,7 +174,7 @@ void Medium::transmit(Frame frame) {
     SA_REQUIRE(tx != endpoints_.end(),
                "transmitter not attached to the medium: " + frame.transmitter);
     SA_REQUIRE(frame.ttl >= 1, "frame TTL exhausted before transmit");
-    transmissions_.fetch_add(1, std::memory_order_relaxed);
+    ++transmissions_;
     // The sending context: the domain whose window is executing, or the
     // medium's own simulator from quiescent contexts. Only its clock is
     // touched — loss draws are stateless hashes, never an RNG stream, so
@@ -197,15 +196,15 @@ void Medium::transmit(Frame frame) {
         const double distance = std::abs(endpoint.position_m - tx_position);
         const double p = loss_at(distance);
         if (p >= 1.0 || (p > 0.0 && loss_draw(frame, name) < p)) {
-            losses_.fetch_add(1, std::memory_order_relaxed);
+            ++losses_;
             continue;
         }
-        deliveries_.fetch_add(1, std::memory_order_relaxed);
+        ++deliveries_;
         const double rssi = rssi_at(distance);
         // Resolve the receiver at delivery time, not capture it: an endpoint
         // that detached while the frame was in flight (quiescent contexts
-        // only, so the lookup itself never races) silently misses the frame
-        // instead of invoking a dangling callback.
+        // only) silently misses the frame instead of invoking a dangling
+        // callback.
         sim::post(*endpoint.home, deliver_at,
                   [this, receiver_name = name, frame, rssi] {
                       const auto rx = endpoints_.find(receiver_name);

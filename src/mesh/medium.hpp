@@ -15,22 +15,24 @@
 // so a sharded run stays deterministic.
 //
 // Sharding. The Medium is the canonical cross-domain link: its latency is
-// declared as every domain's lookahead bound (the window the domains may
-// race ahead). transmit() may run concurrently on several domain workers;
-// membership and positions are therefore frozen while a sharded window is
-// executing — attach()/detach()/move() from inside a window is a loud
-// ContractViolation (mirroring the schedule_periodic foreign-thread
-// contract), mutate only between runs or from script barriers.
+// declared as every domain's lookahead bound (how far apart the domains'
+// clocks may drift within a window). transmit() runs from every domain's
+// window; membership and positions are therefore frozen while a sharded
+// window is executing, since a change made by one domain would be seen by
+// the domains that run after it but not by those before it, breaking
+// byte-identity across domain counts. attach()/detach()/move() from inside
+// a window is a loud ContractViolation (mirroring the schedule_periodic
+// foreign-domain contract); mutate only between runs or from script
+// barriers.
 //
 // Determinism across domain counts. Loss draws do NOT use the per-domain RNG
 // streams (domains 1+ are splitmix64-derived, so their streams differ
 // between 1/2/4-domain runs of the same seed). Each draw is a stateless hash
-// of (medium seed, transmitter, receiver, send time, origin, seq, kind):
-// thread-safe without shared mutable state, reproducible from the seed, and
-// byte-identical regardless of how vehicles are partitioned onto domains —
-// the property the mesh determinism suite locks in.
+// of (medium seed, transmitter, receiver, send time, origin, seq, kind): no
+// shared mutable state, reproducible from the seed, and byte-identical
+// regardless of how vehicles are partitioned onto domains — the property
+// the mesh determinism suite locks in.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -105,8 +107,8 @@ public:
     Medium(const Medium&) = delete;
     Medium& operator=(const Medium&) = delete;
 
-    /// Attach an endpoint: delivered frames execute on `home` (its domain
-    /// worker under sharding). `home` must be the medium's simulator or a
+    /// Attach an endpoint: delivered frames execute on `home` (its vehicle's
+    /// domain under sharding). `home` must be the medium's simulator or a
     /// domain of the same sharded kernel. Quiescent contexts only.
     void attach(const std::string& name, sim::Simulator& home, Receiver receiver,
                 double position_m = 0.0);
@@ -142,14 +144,10 @@ public:
     [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
     [[nodiscard]] std::uint64_t transmissions() const noexcept {
-        return transmissions_.load(std::memory_order_relaxed);
+        return transmissions_;
     }
-    [[nodiscard]] std::uint64_t deliveries() const noexcept {
-        return deliveries_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t losses() const noexcept {
-        return losses_.load(std::memory_order_relaxed);
-    }
+    [[nodiscard]] std::uint64_t deliveries() const noexcept { return deliveries_; }
+    [[nodiscard]] std::uint64_t losses() const noexcept { return losses_; }
 
 private:
     struct Endpoint {
@@ -159,7 +157,8 @@ private:
     };
 
     /// Loud ContractViolation when called from inside a sharded window —
-    /// transmit() on other workers reads members_ and positions lock-free.
+    /// every domain's transmit() reads the membership and positions, so a
+    /// mid-window change would break byte-identity across domain counts.
     void require_quiescent(const char* operation) const;
     /// Stateless loss draw in [0, 1): a hash of the pair, the send instant
     /// and the frame identity. Identical across domain counts by design.
@@ -169,11 +168,10 @@ private:
     sim::Simulator& simulator_;
     MediumConfig config_;
     std::map<std::string, Endpoint> endpoints_;
-    // Relaxed atomics: transmissions may run concurrently on several domain
-    // workers; the counts are order-free sums.
-    std::atomic<std::uint64_t> transmissions_{0};
-    std::atomic<std::uint64_t> deliveries_{0};
-    std::atomic<std::uint64_t> losses_{0};
+    // Order-free sums over every domain's transmissions.
+    std::uint64_t transmissions_ = 0;
+    std::uint64_t deliveries_ = 0;
+    std::uint64_t losses_ = 0;
 };
 
 } // namespace sa::v2v

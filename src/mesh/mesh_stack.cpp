@@ -55,7 +55,7 @@ MeshStack::~MeshStack() {
 
 void MeshStack::handle_frame(const v2v::Frame& frame, double rssi_dbm) {
     // Runs on the home domain (the medium posts deliveries there), so every
-    // table mutation below is single-threaded by construction.
+    // table mutation below belongs to that domain alone.
     const Time now = home_.now();
     auto [it, fresh] = neighbors_.try_emplace(frame.transmitter);
     Neighbor& neighbor = it->second;

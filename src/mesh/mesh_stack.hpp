@@ -25,7 +25,7 @@
 // Determinism. All mutable state lives on the stack's home simulator: the
 // medium posts every delivery to the home domain, the announcement beacon is
 // a home-domain periodic, and aging keys off the home clock. Under sharding
-// the state is therefore single-threaded by construction (TSan-clean), and
+// the state is therefore touched by its home domain's windows only, and
 // because the medium's loss draws are stateless hashes, neighbor tables,
 // chosen routes and relay traces reproduce byte-identically at every domain
 // count.

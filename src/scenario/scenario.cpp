@@ -100,7 +100,7 @@ void Scenario::schedule_maneuver_check(sim::Time at) {
 
 void Scenario::run_maneuver_check() {
     // Runs at a script barrier: reading any vehicle's ability graph and
-    // mutating the platoon is race-free, and every decision draws from the
+    // mutating the platoon is safe, and every decision draws from the
     // scenario RNG — the whole evaluation reproduces bit-for-bit across
     // domain counts.
     //

@@ -248,8 +248,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     Scenario* raw = scenario.get();
     for (const auto& script : scripts_) {
         // Scripts are global barriers: they run at exactly `when` with every
-        // domain quiescent, so they may touch any vehicle without racing
-        // the workers.
+        // domain quiescent, so they may touch any vehicle.
         scenario->kernel_.schedule_script(
             sim::Time(script.when.count_ns()),
             [raw, action = script.action] { action(*raw); });

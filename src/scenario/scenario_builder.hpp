@@ -46,7 +46,7 @@ public:
     /// Partition the scenario into `n` ECU domains (sim::ShardedKernel).
     /// Vehicles are assigned round-robin in declaration order unless pinned
     /// via VehicleBuilder::domain(). 1 (the default) puts everything in one
-    /// domain, whose windows run on the calling thread.
+    /// domain. Every domain's windows run on the calling thread.
     ScenarioBuilder& domains(std::size_t n);
 
     /// Declare a scenario-level bridge joining buses of different vehicles.

@@ -43,21 +43,18 @@ ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed) {
         domains_.back()->simulator_.shard_ = this;
         domains_.back()->simulator_.shard_domain_ = d;
     }
+    if (num_domains >= 2) {
+        // Flips the process-wide ownership guards from their one-load fast
+        // path to the full thread-local check (Simulator::owned_by_caller):
+        // only a kernel with two or more domains has a foreign domain to
+        // mutate by mistake.
+        detail::add_multi_domain_kernels(1);
+    }
 }
 
 ShardedKernel::~ShardedKernel() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    cv_start_.notify_all();
-    for (auto& domain : domains_) {
-        if (domain->worker_.joinable()) {
-            domain->worker_.join();
-        }
-    }
-    if (workers_started_) {
-        detail::add_active_sharded_kernels(-1);
+    if (domains_.size() >= 2) {
+        detail::add_multi_domain_kernels(-1);
     }
 }
 
@@ -75,7 +72,7 @@ void ShardedKernel::declare_lookahead(std::size_t domain, Duration min_latency) 
     SA_REQUIRE(domain < domains_.size(), "domain index out of range");
     SA_REQUIRE(min_latency.count_ns() > 0,
                "cross-domain lookahead must be positive: a zero-latency link "
-               "admits no parallel progress");
+               "admits no progress");
     domains_[domain]->lookahead_ =
         std::min(domains_[domain]->lookahead_, min_latency);
 }
@@ -114,77 +111,25 @@ std::uint64_t ShardedKernel::executed_events() const noexcept {
     return total;
 }
 
-void ShardedKernel::ensure_workers() {
-    if (workers_started_) {
-        return;
-    }
-    workers_started_ = true;
-    // Flips the process-wide ownership guards from their one-load fast path
-    // to the full thread-local check (see Simulator::owned_by_caller).
-    detail::add_active_sharded_kernels(1);
+void ShardedKernel::run_window(Time window_end) {
     for (auto& domain : domains_) {
-        DomainKernel* raw = domain.get();
-        domain->worker_ = std::thread([this, raw] { worker_main(*raw); });
-    }
-}
-
-void ShardedKernel::worker_main(DomainKernel& domain) {
-    std::uint64_t seen_round = 0;
-    for (;;) {
-        Time window_end;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_start_.wait(lock,
-                           [&] { return round_ != seen_round || shutdown_; });
-            if (shutdown_) {
-                return;
-            }
-            seen_round = round_;
-            window_end = window_end_;
-        }
-        // The domain is the plain single-threaded kernel inside its window;
-        // the thread-local marks this thread as its (sole) owner so foreign
-        // mutations trip the Simulator's contracts instead of racing.
-        detail::set_executing_domain(&domain.simulator_);
+        // The marker names the domain whose window is executing, so a
+        // mutation of any other simulator trips its contracts instead of
+        // silently depending on the order domains run in.
+        detail::set_executing_domain(&domain->simulator_);
         try {
-            domain.simulator_.run_until(window_end);
+            domain->simulator_.run_until(window_end);
         } catch (...) {
-            domain.error_ = std::current_exception();
+            domain->error_ = std::current_exception();
         }
         detail::set_executing_domain(nullptr);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (++done_ == domains_.size()) {
-                cv_done_.notify_one();
-            }
-        }
     }
-}
-
-void ShardedKernel::run_window(Time window_end) {
-    if (domains_.size() == 1) {
-        // The calling thread is the only one that touches the domain: run
-        // the window inline, with no hand-off and no thread-local marking.
-        // An exception surfaces directly, and there are no outboxes.
-        ++windows_;
-        domains_.front()->simulator_.run_until(window_end);
-        return;
-    }
-    ensure_workers();
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        window_end_ = window_end;
-        done_ = 0;
-        ++round_;
-        cv_start_.notify_all();
-        cv_done_.wait(lock, [&] { return done_ == domains_.size(); });
-        ++windows_;
-    }
-    // Surface window failures on the calling thread, lowest domain first
-    // (deterministic, if arbitrary relative to simulated time). A failed
-    // window aborts the whole round: every domain's error and outbox is
-    // dropped, so a caller that catches and re-runs cannot flush stale
-    // envelopes below a later horizon.
+    ++windows_;
+    // Surface window failures once every domain finished its window, lowest
+    // domain first (deterministic, if arbitrary relative to simulated
+    // time). A failed window aborts the whole round: every domain's error
+    // and outbox is dropped, so a caller that catches and re-runs cannot
+    // flush stale envelopes below a later horizon.
     std::exception_ptr first_error;
     for (auto& domain : domains_) {
         if (domain->error_ && !first_error) {
@@ -206,7 +151,7 @@ void ShardedKernel::flush_outboxes() {
     // Deterministic merge: targets in index order, sources in index order,
     // sends in emission order. Within one timestamp bucket of the target
     // queue this yields (source domain, send order) — stable across runs
-    // and independent of thread scheduling.
+    // and independent of the order domains ran their windows in.
     for (auto& target : domains_) {
         Simulator& sim = target->simulator_;
         for (auto& source : domains_) {
@@ -282,7 +227,7 @@ std::size_t ShardedKernel::run_until(Time until) {
             continue;
         }
         // Conservative window: everything strictly before the horizon is
-        // safe to execute in parallel. Positive lookaheads guarantee
+        // safe to execute in any domain order. Positive lookaheads guarantee
         // horizon > next_min, so every round makes progress.
         Time horizon = std::min(bound, script_at);
         horizon = std::min(horizon, saturating_after(until, Duration::ns(1)));
@@ -320,19 +265,20 @@ std::size_t ShardedKernel::run_until(Time until) {
 void post(Simulator& target, Time at, EventQueue::Action action) {
     const Simulator* executing = detail::executing_domain();
     if (executing == nullptr || executing == &target) {
-        // Quiescent context (main thread, coordinator/script barrier, inline
-        // one-domain window) or a same-domain send: plain scheduling is
-        // already safe and keeps the domain's own queue order.
+        // Quiescent context (between runs, a script barrier) or a
+        // same-domain send: plain scheduling keeps the domain's own queue
+        // order.
         (void)target.schedule_at(at, std::move(action));
         return;
     }
     ShardedKernel* kernel = target.shard();
-    // A foreign simulator with no kernel has no mailbox and no safe way to
-    // be mutated from a worker thread — fail loudly instead of racing.
+    // A foreign simulator with no kernel has no mailbox: scheduling into it
+    // mid-window would make its queue depend on the order domains run in,
+    // so fail loudly instead.
     SA_REQUIRE(kernel != nullptr,
                "post() to an unsharded foreign simulator from inside a "
                "domain window; foreign simulators cannot be mutated from "
-               "worker threads");
+               "inside a window");
     SA_REQUIRE(executing->shard() == kernel,
                "cross-kernel post: source and target belong to different "
                "sharded kernels");

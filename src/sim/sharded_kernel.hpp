@@ -1,18 +1,17 @@
 #pragma once
 // Sharded discrete-event kernel: one Simulator per ECU domain, coordinated
-// with conservative lookahead so domains advance in parallel on worker
-// threads while staying deterministic. It is the only kernel a Scenario
-// runs on, for one domain as for many.
+// with conservative lookahead so domains advance window by window while
+// staying deterministic. It is the only kernel a Scenario runs on, for one
+// domain as for many.
 //
 // Partitioning model. A ShardedKernel owns N DomainKernels; each DomainKernel
 // owns a private Simulator (bucketed event queue, clock, RNG, periodic
-// registry). With N > 1 each domain gets a worker thread and everything
-// scheduled on a domain's simulator executes on that worker — a domain is
-// exactly the single-threaded kernel it always was, so no subsystem needs
-// locks for its own state. With N == 1 the kernel runs each window inline
-// on the calling thread: no worker, no hand-off, and the process-wide
-// ownership guards stay on their fast path (detail::active_sharded_kernels()
-// counts only kernels with workers).
+// registry). A window runs every domain in index order on the calling
+// thread, each draining its own queue up to the window's end — a domain is
+// exactly the single-threaded kernel it always was. Domains are a
+// deterministic partition, not threads: the same code path serves 1..N
+// domains, and the guards below keep a run byte-identical across domain
+// counts.
 //
 // Conservative lookahead. Cross-domain interactions (CAN gateway forwards,
 // V2V delivery) carry a minimum link latency, declared up front via
@@ -23,22 +22,25 @@
 //
 // — no event a domain has yet to execute can cause an effect in another
 // domain earlier than that — and every domain drains its queue up to (but
-// excluding) the horizon in parallel. Cross-domain sends made during the
-// window land in per-(source, target) outboxes (plain vectors, written only
-// by the owning worker) and are flushed into the target queues at the
-// barrier, ordered by (delivery time, source domain, send order): the merge
-// is deterministic, so the whole run is seed-stable regardless of thread
-// scheduling. post() rejects any send below the current horizon, which turns
-// a forgotten declare_lookahead() into a loud contract violation instead of
-// a silent causality leak.
+// excluding) the horizon. Cross-domain sends made during the window land in
+// per-(source, target) outboxes and are flushed into the target queues at
+// the barrier, ordered by (delivery time, source domain, send order): the
+// merge does not depend on the order domains ran in, so a domain observes
+// the same events at every domain count. Scheduling straight into another
+// domain's queue mid-window would not: the receiver may already have run
+// past that time, or not yet reached it, depending on the partition. The
+// ownership guards (Simulator::owned_by_caller, post()'s rejections, the
+// below-horizon check) therefore turn such a foreign mutation — or a
+// forgotten declare_lookahead() — into a loud contract violation instead of
+// a silent break of byte-identity.
 //
 // Scripts. schedule_script() actions are global barriers: the coordinator
 // runs each one at exactly its timestamp with every domain quiescent and
 // every clock aligned (Simulator::advance_to), so a script may touch any
-// domain — inject faults, rewire routes, destroy a vehicle — without racing
-// the workers. This is how scenario-level interventions stay race-free
-// without carrying a lookahead of their own. Scripts are not events: they
-// do not count towards executed_events().
+// domain — inject faults, rewire routes, destroy a vehicle — without
+// breaking the partition. This is how scenario-level interventions stay
+// deterministic without carrying a lookahead of their own. Scripts are not
+// events: they do not count towards executed_events().
 //
 // Determinism. Within a domain, execution order is the queue order of that
 // domain's events. Entities that do not share simulator-level state
@@ -50,13 +52,10 @@
 // event's runs before that event: the barrier comes first.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -66,9 +65,8 @@ namespace sa::sim {
 /// Lookahead value meaning "this domain never emits cross-domain events".
 inline constexpr Duration kUnboundedLookahead = Duration(INT64_MAX);
 
-/// One shard of a sharded simulation: a private Simulator plus its worker
-/// thread (none for a one-domain kernel) and outboxes. Created and owned by
-/// ShardedKernel.
+/// One shard of a sharded simulation: a private Simulator plus its outboxes.
+/// Created and owned by ShardedKernel.
 class DomainKernel {
 public:
     DomainKernel(const DomainKernel&) = delete;
@@ -93,15 +91,13 @@ private:
     Simulator simulator_;
     std::size_t index_;
     Duration lookahead_ = kUnboundedLookahead;
-    /// outbox_[target]: sends made by this domain's worker during the
-    /// current window. Written only by the owning worker, drained by the
-    /// coordinator at the barrier (synchronised through the round mutex).
+    /// outbox_[target]: sends made by this domain during the current
+    /// window, drained by the coordinator at the barrier.
     std::vector<std::vector<Envelope>> outbox_;
     /// An exception thrown inside this domain's window (e.g. a contract
-    /// violation); captured by the worker and rethrown by the coordinator
-    /// at the barrier so it surfaces on the calling thread.
+    /// violation); held until every domain has finished the window, then
+    /// rethrown by the coordinator.
     std::exception_ptr error_;
-    std::thread worker_;
 };
 
 /// Coordinator of N DomainKernels. See the header comment for the model.
@@ -113,8 +109,8 @@ public:
     /// workloads are stream-identical across domain counts.
     explicit ShardedKernel(std::size_t num_domains,
                            std::uint64_t seed = 0x5AA5F00DULL);
-    /// Joins the worker threads, if any. Pending events are dropped with
-    /// their queues, like a Simulator destroyed mid-run.
+    /// Pending events are dropped with their queues, like a Simulator
+    /// destroyed mid-run.
     ~ShardedKernel();
 
     ShardedKernel(const ShardedKernel&) = delete;
@@ -127,7 +123,7 @@ public:
     /// Declare that `domain` may emit cross-domain events with at least
     /// `min_latency` of delay; its lookahead becomes the minimum of all
     /// declarations. Must be > 0: a zero-latency cross-domain link would
-    /// forbid any parallel progress.
+    /// admit no progress.
     void declare_lookahead(std::size_t domain, Duration min_latency);
     /// Same, resolving the domain from one of this kernel's simulators.
     void declare_lookahead(const Simulator& from, Duration min_latency);
@@ -153,10 +149,9 @@ public:
     /// Actual global progress: the furthest any domain clock has advanced,
     /// never below now(). Unlike now() this stays meaningful when a window
     /// threw (now() is only updated after a window completes) — partial
-    /// reports after a mid-run violation read this. Call from the
-    /// coordinator context with the kernel quiescent (between runs, after a
-    /// caught window exception, or inside a script): the workers' clock
-    /// writes happened-before the barrier handshake completed.
+    /// reports after a mid-run violation read this. Every domain finishes
+    /// its window before a window exception is rethrown, so after one this
+    /// reads the furthest clock any domain reached.
     [[nodiscard]] Time progress() const noexcept;
     /// Events executed across all domains since construction.
     [[nodiscard]] std::uint64_t executed_events() const noexcept;
@@ -175,14 +170,12 @@ public:
 private:
     friend void post(Simulator& target, Time at, EventQueue::Action action);
 
-    void ensure_workers();
-    void worker_main(DomainKernel& domain);
-    /// Run one window: every domain drains to `window_end` (in parallel on
-    /// the workers, or inline when there is one domain).
+    /// Run one window: every domain, in index order, drains to `window_end`.
     void run_window(Time window_end);
     /// Merge all outboxes into their target queues, deterministically.
     void flush_outboxes();
-    /// Called from a worker thread (via post()) for a cross-domain send.
+    /// Called from inside a domain's window (via post()) for a cross-domain
+    /// send.
     void post_from(std::size_t from, std::size_t to, Time at,
                    EventQueue::Action action);
 
@@ -203,29 +196,17 @@ private:
     std::vector<Script> scripts_;
     std::size_t scripts_head_ = 0;
 
-    // Round coordination. The coordinator publishes {window_end_, horizon_,
-    // round_} under mutex_ and workers acknowledge through done_; outbox
-    // contents ride the same mutex, so every window is a full
-    // happens-before edge in both directions (ThreadSanitizer-clean).
-    std::mutex mutex_;
-    std::condition_variable cv_start_;
-    std::condition_variable cv_done_;
-    std::uint64_t round_ = 0;
-    std::size_t done_ = 0;
-    bool shutdown_ = false;
-    bool workers_started_ = false;
-    Time window_end_ = Time::zero();
     Time horizon_ = Time::max(); ///< current window's safe horizon (post() check)
 };
 
 /// Schedule `action` at absolute time `at` on `target`, routing through the
-/// sharded mailboxes when (and only when) the caller is executing a worker
-/// window of a *different* domain. From quiescent contexts (main thread
-/// between runs, a script barrier, an inline one-domain window) or for a
-/// standalone simulator this is exactly Simulator::schedule_at. Cross-domain sends must satisfy the conservative
-/// contract: `at` must lie at or beyond the current window's horizon, which
-/// holds by construction when `at` = sender-domain now + a declared link
-/// latency.
+/// sharded mailboxes when (and only when) the caller is executing the
+/// window of a *different* domain. From quiescent contexts (between runs,
+/// a script barrier), from the target's own window, or for a standalone
+/// simulator outside any window this is exactly Simulator::schedule_at.
+/// Cross-domain sends must satisfy the conservative contract: `at` must lie
+/// at or beyond the current window's horizon, which holds by construction
+/// when `at` = sender-domain now + a declared link latency.
 void post(Simulator& target, Time at, EventQueue::Action action);
 
 } // namespace sa::sim

@@ -9,18 +9,18 @@ namespace sa::sim {
 namespace detail {
 namespace {
 thread_local Simulator* t_executing_domain = nullptr;
-std::atomic<int> g_active_sharded_kernels{0};
+std::atomic<int> g_multi_domain_kernels{0};
 } // namespace
 
 Simulator* executing_domain() noexcept { return t_executing_domain; }
 void set_executing_domain(Simulator* simulator) noexcept {
     t_executing_domain = simulator;
 }
-int active_sharded_kernels() noexcept {
-    return g_active_sharded_kernels.load(std::memory_order_relaxed);
+int multi_domain_kernels() noexcept {
+    return g_multi_domain_kernels.load(std::memory_order_relaxed);
 }
-void add_active_sharded_kernels(int delta) noexcept {
-    g_active_sharded_kernels.fetch_add(delta, std::memory_order_relaxed);
+void add_multi_domain_kernels(int delta) noexcept {
+    g_multi_domain_kernels.fetch_add(delta, std::memory_order_relaxed);
 }
 } // namespace detail
 

@@ -4,9 +4,9 @@
 // one ECU domain (CAN bus, ECU schedulers, vehicle dynamics, platoon
 // messaging) run on one Simulator so their interleavings are globally
 // ordered. A ShardedKernel (sim/sharded_kernel.hpp) owns one Simulator per
-// domain and drives them through run_until() windows — with one domain on
-// the calling thread, with several in parallel under conservative
-// lookahead; each domain remains exactly this kernel inside its window.
+// domain and drives them, in index order on the calling thread, through
+// run_until() windows bounded by conservative lookahead; each domain
+// remains exactly this kernel inside its window.
 //
 // There is one drain loop, run_until(): it executes one event at a time and
 // honours stop() between any two events.
@@ -26,19 +26,20 @@ class ShardedKernel;
 class Simulator;
 
 namespace detail {
-/// The simulator whose sharded window is executing on a worker thread, or
-/// nullptr everywhere else (main thread, coordinator thread, standalone
-/// simulators, inline one-domain windows). Set by ShardedKernel around each
-/// worker window; the worker is the domain's sole owner for the window,
-/// hence mutable.
+/// The simulator whose sharded window is executing on this thread, or
+/// nullptr everywhere else (between windows, in a script barrier, for
+/// standalone simulators). Set by ShardedKernel around each domain's
+/// window; that domain is the only simulator the window may mutate, hence
+/// mutable.
 [[nodiscard]] Simulator* executing_domain() noexcept;
 void set_executing_domain(Simulator* simulator) noexcept;
-/// Count of ShardedKernels with live worker threads in this process. While
-/// zero (every program whose kernels have one domain: those run their
-/// windows inline and start no workers), the ownership guards reduce to one
-/// relaxed global load — no thread-local access on the scheduling hot path.
-[[nodiscard]] int active_sharded_kernels() noexcept;
-void add_active_sharded_kernels(int delta) noexcept;
+/// Count of live ShardedKernels with two or more domains in this process,
+/// maintained by their constructors and destructors. While zero (every
+/// program whose kernels have one domain: those have no foreign domain to
+/// mutate), the ownership guards reduce to one relaxed global load — no
+/// thread-local access on the scheduling hot path.
+[[nodiscard]] int multi_domain_kernels() noexcept;
+void add_multi_domain_kernels(int delta) noexcept;
 } // namespace detail
 
 class Simulator {
@@ -59,10 +60,11 @@ public:
     /// Schedule a periodic activity; the first firing happens after `phase`.
     /// The returned id can be passed to cancel_periodic().
     ///
-    /// Sharding contract: the periodic registry is single-threaded state.
-    /// Under a ShardedKernel this must be called from the owning domain (its
-    /// worker during a window, or any quiescent context between windows);
-    /// a foreign domain thread must post() the registration instead.
+    /// Sharding contract: under a ShardedKernel this must be called from
+    /// the owning domain's window or a quiescent context between windows;
+    /// another domain's window must post() the registration instead, since
+    /// a foreign mutation mid-window breaks byte-identity across domain
+    /// counts.
     std::uint64_t schedule_periodic(Duration period, EventQueue::Action action,
                                     Duration phase = Duration::zero());
 
@@ -71,10 +73,10 @@ public:
     /// lingers in the queue.
     ///
     /// Sharding contract: like schedule_periodic(), only the owning domain
-    /// may call this while a sharded window is executing — a foreign domain
-    /// thread must post() the cancellation to the owning domain (enforced
-    /// with SA_REQUIRE, so a Vehicle torn down from the wrong thread fails
-    /// loudly instead of racing the owner's fire_periodic()).
+    /// may call this while a sharded window is executing — another domain's
+    /// window must post() the cancellation to the owning domain (enforced
+    /// with SA_REQUIRE, so a Vehicle torn down from the wrong domain fails
+    /// loudly instead of depending on whether its owner already ran).
     void cancel_periodic(std::uint64_t id);
 
     bool cancel(EventHandle handle) {
@@ -94,9 +96,9 @@ public:
     std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
     /// Request that run_until return after the current event completes.
-    /// Thread-safe: the flag is atomic, so a monitor on another domain's
-    /// worker thread (or any external thread) may request a stop without
-    /// racing the owning drain loop. Note run_until() consumes the flag on
+    /// Thread-safe: the flag is atomic, so an external thread may request a
+    /// stop without racing the owning drain loop. Note run_until() consumes
+    /// the flag on
     /// entry, so a stop aimed at an idle simulator is discarded; to stop a
     /// whole sharded run use ShardedKernel::stop().
     void stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
@@ -150,14 +152,15 @@ private:
 
     void fire_periodic(std::uint64_t id);
     void arm_periodic(PeriodicSlot& slot, std::uint64_t id, Duration delay);
-    /// True when the calling thread may mutate single-threaded state: either
-    /// no sharded window is executing on this thread, or the window is ours.
-    /// Applies to EVERY simulator, sharded or not — a domain worker holding
-    /// a reference to some foreign standalone simulator must not race its
-    /// owner either.
+    /// True when the caller may mutate this simulator: either no sharded
+    /// window is executing on this thread, or the window is ours. A foreign
+    /// mutation inside a window would make the result depend on the order
+    /// domains run in, breaking byte-identity across domain counts. Applies
+    /// to EVERY simulator, sharded or not — a domain window holding a
+    /// reference to some standalone simulator must not mutate it either.
     [[nodiscard]] bool owned_by_caller() const noexcept {
-        if (detail::active_sharded_kernels() == 0) {
-            return true; // fast path: no worker threads exist in the process
+        if (detail::multi_domain_kernels() == 0) {
+            return true; // fast path: no kernel has a foreign domain
         }
         const Simulator* executing = detail::executing_domain();
         return executing == nullptr || executing == this;

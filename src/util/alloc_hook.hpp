@@ -13,8 +13,8 @@
 // the defaults do — so ASan/TSan (which intercept malloc) keep their full
 // heap bookkeeping underneath, and the zero-alloc pins hold under
 // sanitizers too. Counters are thread_local: a CountScope observes only the
-// calling thread, which is what the steady-state pins want (sharded worker
-// threads warm their own pools independently).
+// calling thread, which is what the steady-state pins want (another
+// thread's allocations never leak into them).
 
 #include <cstdint>
 

@@ -11,11 +11,10 @@ namespace sa {
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
 
-/// Global logging configuration. Thread-safe: the RTE, fault injector and
-/// coordinator log from inside sharded-kernel windows, which run on one
-/// worker thread per domain. The level is atomic; set_sink() and every sink
-/// call hold one mutex, so a sink sees one line at a time (and must not log
-/// itself).
+/// Global logging configuration. Thread-safe, so a program that runs
+/// simulations on threads of its own can share one sink: the level is
+/// atomic; set_sink() and every sink call hold one mutex, so a sink sees one
+/// line at a time (and must not log itself).
 class Log {
 public:
     using Sink = std::function<void(LogLevel, const std::string&)>;

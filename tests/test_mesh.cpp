@@ -5,12 +5,11 @@
 // relay) — plus the determinism suite: neighbor tables, chosen routes and
 // relay counters reproduce byte-identically at 1, 2 and 4 ECU domains.
 //
-// The whole file is ThreadSanitizer-relevant: the CI tsan job runs it with
-// SA_SANITIZE=thread.
+// Every domain's window runs on the calling thread; the membership guards
+// tested here keep a run byte-identical across domain counts.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -295,15 +294,15 @@ TEST(MeshDeterminism, DomainCountDoesNotChangeTablesRoutesOrTraffic) {
     EXPECT_NE(one.find("nbr"), std::string::npos) << one;
 }
 
-// --- membership quiescence (regression: raced mutation is loud) ---------------------
+// --- membership quiescence (regression: mid-window mutation is loud) ----------------
 
 TEST(MeshStack, MidRunConstructionOnAShardedKernelIsRejected) {
     // Building a MeshStack attaches to the medium; from inside a sharded
-    // window that is the same racy membership mutation Medium::attach
-    // rejects. The stack must not half-construct.
+    // window that is the same mid-window membership mutation
+    // Medium::attach rejects. The stack must not half-construct.
     sim::ShardedKernel kernel(2, 11);
     v2v::Medium medium(kernel.domain(0), {.latency = Duration::ms(20)});
-    std::atomic<bool> threw{false};
+    bool threw = false;
     kernel.domain(1).schedule(Duration::ms(1), [&] {
         try {
             mesh::MeshStack late("late", medium, kernel.domain(1));

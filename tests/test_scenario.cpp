@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "scenario/scenario_builder.hpp"
 
@@ -412,28 +413,40 @@ TEST(ScenarioBuilder, OutOfRangeDomainPinRejectedAtBuild) {
     EXPECT_NO_THROW((void)ok.build());
 }
 
-TEST(Scenario, OneDomainRunsInlineWithoutWorkerThreads) {
-    // The default partition runs on the same kernel as domains(n > 1), but
-    // its windows execute on the calling thread: no worker is started, so
-    // the process-wide ownership guards keep their one-load fast path.
-    scenario::ScenarioBuilder builder(23);
-    builder.vehicle("ego")
-        .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
-        .contracts(kMiniContracts);
-    bool script_ran = false;
-    builder.at(Duration::ms(100), [&](scenario::Scenario&) { script_ran = true; });
-    auto scenario = builder.build();
-    std::thread::id event_thread;
-    scenario->simulator().schedule(Duration::ms(50), [&] {
-        event_thread = std::this_thread::get_id();
-    });
-    scenario->run(Duration::ms(500));
+TEST(Scenario, EveryDomainRunsOnTheCallingThread) {
+    // Domains are a deterministic partition, not threads: at every domain
+    // count, events on every domain and the at() scripts execute on the
+    // thread that called run(). Only kernels with two or more domains turn
+    // the ownership guards off their one-load fast path.
+    for (const std::size_t domains : {1u, 2u, 4u}) {
+        SCOPED_TRACE(domains);
+        scenario::ScenarioBuilder builder(23);
+        builder.domains(domains);
+        builder.vehicle("ego")
+            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(kMiniContracts);
+        std::thread::id script_thread;
+        builder.at(Duration::ms(100), [&](scenario::Scenario&) {
+            script_thread = std::this_thread::get_id();
+        });
+        auto scenario = builder.build();
+        std::vector<std::thread::id> event_threads(domains);
+        for (std::size_t d = 0; d < domains; ++d) {
+            scenario->kernel().domain(d).schedule(Duration::ms(50), [&, d] {
+                event_threads[d] = std::this_thread::get_id();
+            });
+        }
+        scenario->run(Duration::ms(500));
 
-    EXPECT_TRUE(script_ran);
-    EXPECT_EQ(event_thread, std::this_thread::get_id());
-    EXPECT_EQ(scenario->num_domains(), 1u);
-    EXPECT_GE(scenario->kernel().windows(), 2u); // split by the script barrier
-    EXPECT_EQ(sim::detail::active_sharded_kernels(), 0);
+        EXPECT_EQ(script_thread, std::this_thread::get_id());
+        for (std::size_t d = 0; d < domains; ++d) {
+            EXPECT_EQ(event_threads[d], std::this_thread::get_id()) << "domain " << d;
+        }
+        EXPECT_EQ(scenario->num_domains(), domains);
+        EXPECT_GE(scenario->kernel().windows(), 2u); // split by the script barrier
+        EXPECT_EQ(sim::detail::multi_domain_kernels(), domains >= 2 ? 1 : 0);
+    }
+    EXPECT_EQ(sim::detail::multi_domain_kernels(), 0);
 }
 
 // --- declarative skills + unified degradation --------------------------------------
@@ -745,7 +758,7 @@ TEST(Scenario, ReportAfterThrowingScriptReturnsPartialReport) {
 
 TEST(Scenario, ReportAfterThrowingWindowUnderShardedKernel) {
     // Same regression one layer down: with a multi-domain kernel the throw
-    // happens inside a worker window; report() must read the furthest
+    // happens at a script barrier; report() must read the furthest
     // domain clock (ShardedKernel::progress()), not the pre-window now().
     scenario::ScenarioBuilder builder(23);
     builder.domains(2);

@@ -1,18 +1,19 @@
 // Tests for the sharded kernel: conservative-lookahead windows, the
-// deterministic cross-domain mailboxes, script barriers, the foreign-thread
-// contracts on the periodic registry, cross-domain gateway routes and V2V —
-// the determinism suite: the dual-bus platoon produces identical
-// per-vehicle counters, CAN event traces and kernel counters for
+// deterministic cross-domain mailboxes, script barriers, window failure, the
+// foreign-domain contracts on the periodic registry, cross-domain gateway
+// routes and V2V — the determinism suite: the dual-bus platoon produces
+// identical per-vehicle counters, CAN event traces and kernel counters for
 // num_domains in {1, 2, 4}, and identical everything when re-run with the
-// same seed — and logging from concurrent domain windows.
+// same seed — and logging from several domains' windows into one sink.
 //
-// The whole file is ThreadSanitizer-relevant: the CI tsan job runs it with
-// SA_SANITIZE=thread.
+// Every domain's window runs on the calling thread. The CI tsan job still
+// runs this file with SA_SANITIZE=thread: stop() from an external thread
+// and the util::Log sink are the cross-thread surfaces left.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,9 +37,8 @@ using sim::Time;
 
 TEST(ShardedKernel, RunsIndependentDomainsToTheHorizon) {
     sim::ShardedKernel kernel(2, 42);
-    // One log per domain: the two workers run concurrently, so they must
-    // not share a container. Merged after the run (order across domains is
-    // unspecified by the kernel's contract).
+    // One log per domain, merged after the run: order across domains is
+    // unspecified by the kernel's contract.
     std::vector<int> fired_by[2];
     kernel.domain(0).schedule(Duration::us(10), [&] { fired_by[0].push_back(0); });
     kernel.domain(1).schedule(Duration::us(20), [&] { fired_by[1].push_back(1); });
@@ -73,8 +73,8 @@ TEST(ShardedKernel, CrossDomainPostDeliversAtDeclaredLatency) {
 
 TEST(ShardedKernel, MailboxMergeIsOrderedBySourceDomain) {
     // Two domains post to a third at the SAME delivery time; the flush must
-    // order them (source domain, send order), independent of which worker
-    // finished first.
+    // order them (source domain, send order), independent of which domain
+    // ran its window first.
     sim::ShardedKernel kernel(3, 42);
     kernel.declare_lookahead(0, Duration::us(100));
     kernel.declare_lookahead(1, Duration::us(100));
@@ -99,7 +99,8 @@ TEST(ShardedKernel, ForeignDirectScheduleIsRejected) {
     kernel.domain(0).schedule(Duration::us(10), [&] {
         // The legal pre-sharding pattern — holding a reference to another
         // simulator and scheduling on it directly — must trip a contract
-        // inside a window instead of racing the owning worker.
+        // inside a window: whether domain 1 already ran past that time
+        // depends on the partition, which would break byte-identity.
         (void)kernel.domain(1).schedule(Duration::ms(1), [] {});
     });
 
@@ -170,7 +171,6 @@ TEST(ShardedKernel, ScriptsAtEqualTimesRunInRegistrationOrder) {
 
 TEST(ShardedKernel, RunToTimeMaxDrainsAndReturns) {
     sim::ShardedKernel kernel(2, 42);
-    // One counter per domain: the two workers run concurrently.
     std::uint64_t fired_by[2] = {0, 0};
     kernel.domain(0).schedule(Duration::us(10), [&] { ++fired_by[0]; });
     kernel.domain(1).schedule(Duration::ms(3), [&] { ++fired_by[1]; });
@@ -204,13 +204,53 @@ TEST(ShardedKernel, DirectScheduleOnAForeignUnshardedSimulatorIsRejected) {
     sim::ShardedKernel kernel(2, 42);
     sim::Simulator standalone(7);
     kernel.domain(0).schedule(Duration::us(10), [&] {
-        // Not even the raw Simulator API may race a foreign standalone
-        // simulator from a worker thread.
+        // Not even the raw Simulator API may mutate a foreign standalone
+        // simulator from inside a window.
         (void)standalone.schedule(Duration::ms(1), [] {});
     });
 
     EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
                  sa::ContractViolation);
+}
+
+TEST(ShardedKernel, FailedWindowRethrowsTheLowestDomainAndDropsItsMail) {
+    // Domains 0 and 1 both throw in the same window. Domain 1 still runs its
+    // window after domain 0 failed, run_until() rethrows domain 0's error,
+    // and the envelope domain 1 posted earlier in the window is dropped.
+    sim::ShardedKernel kernel(2, 42);
+    kernel.declare_lookahead(0, Duration::ms(1));
+    kernel.declare_lookahead(1, Duration::ms(1));
+    bool delivered = false;
+    bool rerun_ran = false;
+    kernel.domain(0).schedule(Duration::us(10), [] {
+        throw std::runtime_error("domain 0");
+    });
+    kernel.domain(0).schedule(Duration::ms(2), [&] { rerun_ran = true; });
+    kernel.domain(1).schedule(Duration::us(20), [&] {
+        sim::post(kernel.domain(0), kernel.domain(1).now() + Duration::ms(1),
+                  [&] { delivered = true; });
+    });
+    kernel.domain(1).schedule(Duration::us(500), [] {
+        throw std::runtime_error("domain 1");
+    });
+
+    try {
+        kernel.run_until(Time(Duration::ms(10).count_ns()));
+        ADD_FAILURE() << "the failed window did not throw";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "domain 0");
+    }
+    EXPECT_EQ(kernel.windows(), 1u);
+    EXPECT_EQ(kernel.domain(0).now(), Time(Duration::us(10).count_ns()));
+    EXPECT_EQ(kernel.domain(1).now(), Time(Duration::us(500).count_ns()));
+    EXPECT_EQ(kernel.progress(), Time(Duration::us(500).count_ns()));
+
+    // A re-run continues from the queues as they were left and flushes its
+    // windows' outboxes again; the dropped envelope never arrives.
+    kernel.run_until(Time(Duration::ms(10).count_ns()));
+    EXPECT_TRUE(rerun_ran);
+    EXPECT_FALSE(delivered);
+    EXPECT_EQ(kernel.cross_domain_events(), 0u);
 }
 
 TEST(ShardedKernel, StaleStopOnAnIdleKernelIsDiscarded) {
@@ -256,7 +296,7 @@ TEST(ShardedKernel, StopIsSafeFromAnExternalThread) {
     std::thread stopper([&] { kernel.stop(); });
     kernel.run_until(Time(Duration::sec(5).count_ns()));
     stopper.join();
-    SUCCEED(); // termination (early or not) without a race is the assertion
+    SUCCEED(); // termination (early or not) without a data race is the assertion
 }
 
 // --- the periodic-registry audit (Simulator::stop / Vehicle teardown) -------------
@@ -267,7 +307,7 @@ TEST(ShardedKernel, ForeignThreadCancelPeriodicIsRejected) {
     const std::uint64_t id =
         kernel.domain(1).schedule_periodic(Duration::ms(1), [] {});
     kernel.domain(0).schedule(Duration::us(10), [&] {
-        kernel.domain(1).cancel_periodic(id); // foreign domain thread: race
+        kernel.domain(1).cancel_periodic(id); // foreign domain: rejected
     });
 
     EXPECT_THROW(kernel.run_until(Time(Duration::ms(10).count_ns())),
@@ -282,7 +322,7 @@ TEST(ShardedKernel, PostedCancelPeriodicFromForeignDomainIsSafe) {
         kernel.domain(1).schedule_periodic(Duration::ms(1), [&] { ++fired; });
     kernel.domain(0).schedule(Duration::us(100), [&] {
         // The safe pattern: route the cancellation through the mailbox so it
-        // executes on the owning domain's worker.
+        // executes in the owning domain's window.
         sim::post(kernel.domain(1), kernel.domain(0).now() + Duration::ms(3),
                   [&] { kernel.domain(1).cancel_periodic(id); });
     });
@@ -400,17 +440,18 @@ TEST(ShardedV2v, DeliversFramesToEndpointsOnTheirHomeDomains) {
 }
 
 TEST(ShardedV2v, MidRunMembershipMutationIsRejected) {
-    // Regression: membership and positions are read lock-free by every
-    // domain's transmit(), so mutating them from inside a sharded window
-    // must fail loudly instead of racing. Quiescent contexts (between runs,
-    // script barriers) stay allowed.
+    // Regression: membership and positions are read by every domain's
+    // transmit(), so mutating them from inside a sharded window must fail
+    // loudly: domains that ran earlier in the window would not see the
+    // change. Quiescent contexts (between runs, script barriers) stay
+    // allowed.
     sim::ShardedKernel kernel(2, 42);
     v2v::Medium medium(kernel.domain(0), {.latency = Duration::ms(20)});
     medium.attach("a", kernel.domain(0), [](const v2v::Frame&, double) {});
 
-    std::atomic<bool> attach_threw{false};
-    std::atomic<bool> detach_threw{false};
-    std::atomic<bool> move_threw{false};
+    bool attach_threw = false;
+    bool detach_threw = false;
+    bool move_threw = false;
     kernel.domain(1).schedule(Duration::ms(1), [&] {
         try {
             medium.attach("b", kernel.domain(1), [](const v2v::Frame&, double) {});
@@ -680,13 +721,12 @@ TEST(ShardedDeterminism, RunKnobCrossChecksThePartition) {
     EXPECT_NO_THROW(scenario->run(Duration::ms(2)));
 }
 
-// --- logging from concurrent domain windows -----------------------------------------
+// --- logging from several domains' windows -----------------------------------------
 
 TEST(ShardedLog, StormsLoggedFromBothDomainsReachOneSink) {
     // Fault injection (and the coordinators reacting to it) log from inside
-    // the domain windows, i.e. from both worker threads at the same
-    // simulated instant. util::Log serialises the sink calls, so a plain
-    // capturing sink needs no lock of its own.
+    // both domains' windows at the same simulated instant; every line
+    // reaches the one sink.
     std::vector<std::string> lines; // written only under Log's sink mutex
     const LogLevel previous = Log::level();
     Log::set_level(LogLevel::Warn);
