@@ -2,14 +2,10 @@
 
 #include <algorithm>
 
-#include "campaign/lexer.hpp"
 #include "util/assert.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
-
-CampaignParseError::CampaignParseError(int line, const std::string& message)
-    : std::runtime_error(message), line_(line) {}
 
 // --- axis names --------------------------------------------------------------------
 
@@ -118,40 +114,6 @@ std::string duration_str(sim::Duration duration) {
     return format("%lldns", static_cast<long long>(ns));
 }
 
-namespace detail {
-
-sim::Duration take_duration(Lexer& lexer) {
-    const Token number = lexer.take();
-    if (number.kind != TokKind::Number) {
-        throw CampaignParseError(number.line,
-                                 "expected a duration like '400ms', got '" +
-                                     number.text + "'");
-    }
-    const std::int64_t value = std::stoll(number.text);
-    const Token unit = lexer.take();
-    if (unit.kind != TokKind::Ident) {
-        throw CampaignParseError(unit.line,
-                                 "expected a duration unit (ns/us/ms/s) after '" +
-                                     number.text + "'");
-    }
-    if (unit.text == "ns") {
-        return sim::Duration::ns(value);
-    }
-    if (unit.text == "us") {
-        return sim::Duration::us(value);
-    }
-    if (unit.text == "ms") {
-        return sim::Duration::ms(value);
-    }
-    if (unit.text == "s") {
-        return sim::Duration::sec(value);
-    }
-    throw CampaignParseError(unit.line,
-                             "unknown duration unit '" + unit.text + "'");
-}
-
-} // namespace detail
-
 // --- CellConfig --------------------------------------------------------------------
 
 std::string CellConfig::id() const {
@@ -213,127 +175,111 @@ std::string CellConfig::str() const {
 
 namespace {
 
-void check_vehicles(std::size_t count, int line) {
+std::size_t take_vehicles(Lexer& lexer) {
+    const int line = lexer.peek().line;
+    const std::uint64_t count = lexer.take_uint("a vehicle count");
     if (count < 2 || count > 8) {
-        throw CampaignParseError(line, "vehicles must be in [2, 8], got " +
-                                           std::to_string(count));
+        throw ParseError(line, "vehicles must be in [2, 8], got " + std::to_string(count));
     }
+    return count;
 }
 
-void check_domains(std::size_t count, int line) {
+std::size_t take_domains(Lexer& lexer) {
+    const int line = lexer.peek().line;
+    const std::uint64_t count = lexer.take_uint("a domain count");
     if (count < 1 || count > 8) {
-        throw CampaignParseError(line, "domains must be in [1, 8], got " +
-                                           std::to_string(count));
+        throw ParseError(line, "domains must be in [1, 8], got " + std::to_string(count));
     }
+    return count;
 }
 
-void check_duration(sim::Duration duration, int line) {
-    if (duration.count_ns() < sim::Duration::ms(1).count_ns()) {
-        throw CampaignParseError(line, "duration must be at least 1ms");
+sim::Duration take_cell_duration(Lexer& lexer) {
+    const int line = lexer.peek().line;
+    const sim::Duration duration(lexer.take_duration());
+    if (duration < sim::Duration::ms(1)) {
+        throw ParseError(line, "duration must be at least 1ms");
     }
+    return duration;
 }
 
-/// Parse the tail of a `learned <dur> [none];` statement (after the keyword;
-/// the caller consumes the terminating ';').
-void parse_learned(detail::Lexer& lexer, int line, sim::Duration& warmup,
-                   bool& no_metrics) {
-    warmup = detail::take_duration(lexer);
+/// One value of the enum axis `axis` ("weather", "fault", ...).
+template <typename Enum>
+Enum take_enum(Lexer& lexer, const std::string& axis,
+               bool (*from_string)(const std::string&, Enum&)) {
+    const Token token = lexer.take_ident("a " + axis + " value");
+    Enum value{};
+    if (!from_string(token.text, value)) {
+        throw ParseError(token.line, "unknown " + axis + " '" + token.text + "'");
+    }
+    return value;
+}
+
+/// The tail of a `learned <dur> [none]` statement, after the keyword.
+void parse_learned(Lexer& lexer, int line, sim::Duration& warmup, bool& no_metrics) {
+    warmup = sim::Duration(lexer.take_duration());
     if (warmup.count_ns() <= 0) {
-        throw CampaignParseError(line, "learned warm-up must be positive");
+        throw ParseError(line, "learned warm-up must be positive");
     }
     no_metrics = false;
-    if (lexer.peek().kind == detail::TokKind::Ident) {
-        const std::string flag = lexer.take_ident("'none'");
+    if (lexer.peek().kind == TokKind::Ident) {
+        const std::string flag = lexer.take().text;
         if (flag != "none") {
-            throw CampaignParseError(line,
-                                     "unknown learned flag '" + flag + "'");
+            throw ParseError(line, "unknown learned flag '" + flag + "'");
         }
         no_metrics = true;
     }
 }
 
-/// Parse one cell statement into `cell`. Returns false when `keyword` is not
-/// a cell statement (so CampaignSpec::parse can report axis keywords with a
-/// campaign-specific message).
-bool parse_cell_statement(detail::Lexer& lexer, const std::string& keyword, int line,
-                          CellConfig& cell) {
-    using detail::TokKind;
-    if (keyword == "campaign") {
-        cell.campaign = lexer.take_ident("a campaign name");
-    } else if (keyword == "template") {
-        cell.scenario_template = lexer.take_ident("a template name");
-    } else if (keyword == "vehicles") {
-        cell.vehicles =
-            static_cast<std::size_t>(lexer.take_number("a vehicle count"));
-        check_vehicles(cell.vehicles, line);
-    } else if (keyword == "duration") {
-        cell.duration = detail::take_duration(lexer);
-        check_duration(cell.duration, line);
-    } else if (keyword == "spec") {
-        const detail::Token token = lexer.take();
-        if (token.kind != TokKind::String) {
-            throw CampaignParseError(token.line,
-                                     "expected a quoted spec file path");
-        }
-        cell.spec_file = token.text;
-    } else if (keyword == "weather") {
-        const std::string value = lexer.take_ident("a weather value");
-        if (!weather_from_string(value, cell.weather)) {
-            throw CampaignParseError(line, "unknown weather '" + value + "'");
-        }
-    } else if (keyword == "fault") {
-        const std::string value = lexer.take_ident("a fault value");
-        if (!fault_from_string(value, cell.fault)) {
-            throw CampaignParseError(line, "unknown fault '" + value + "'");
-        }
-    } else if (keyword == "policy") {
-        const std::string value = lexer.take_ident("a policy value");
-        if (!policy_from_string(value, cell.policy)) {
-            throw CampaignParseError(line, "unknown policy '" + value + "'");
-        }
-    } else if (keyword == "topology") {
-        const std::string value = lexer.take_ident("a topology value");
-        if (!topology_from_string(value, cell.topology)) {
-            throw CampaignParseError(line, "unknown topology '" + value + "'");
-        }
-    } else if (keyword == "domains") {
-        cell.domains = static_cast<std::size_t>(lexer.take_number("a domain count"));
-        check_domains(cell.domains, line);
-    } else if (keyword == "seed") {
-        cell.seed = lexer.take_number("a seed");
-    } else if (keyword == "learned") {
-        parse_learned(lexer, line, cell.learned_warmup, cell.learned_no_metrics);
-    } else if (keyword == "mesh_range") {
-        cell.mesh_range_m = lexer.take_number("a radio range in meters");
-    } else if (keyword == "mesh_ttl") {
-        cell.mesh_ttl = lexer.take_number("a beacon TTL");
+/// Parse one cell statement (after its keyword) into `cell`.
+void parse_cell_statement(Lexer& lexer, const Token& keyword, CellConfig& cell) {
+    const std::string& word = keyword.text;
+    if (word == "campaign") {
+        cell.campaign = lexer.take_ident("a campaign name").text;
+    } else if (word == "template") {
+        cell.scenario_template = lexer.take_ident("a template name").text;
+    } else if (word == "vehicles") {
+        cell.vehicles = take_vehicles(lexer);
+    } else if (word == "duration") {
+        cell.duration = take_cell_duration(lexer);
+    } else if (word == "spec") {
+        cell.spec_file = lexer.take_string("a quoted spec file path");
+    } else if (word == "weather") {
+        cell.weather = take_enum(lexer, "weather", weather_from_string);
+    } else if (word == "fault") {
+        cell.fault = take_enum(lexer, "fault", fault_from_string);
+    } else if (word == "policy") {
+        cell.policy = take_enum(lexer, "policy", policy_from_string);
+    } else if (word == "topology") {
+        cell.topology = take_enum(lexer, "topology", topology_from_string);
+    } else if (word == "domains") {
+        cell.domains = take_domains(lexer);
+    } else if (word == "seed") {
+        cell.seed = lexer.take_uint("a seed");
+    } else if (word == "learned") {
+        parse_learned(lexer, keyword.line, cell.learned_warmup, cell.learned_no_metrics);
+    } else if (word == "mesh_range") {
+        cell.mesh_range_m = lexer.take_uint("a radio range in meters");
+    } else if (word == "mesh_ttl") {
+        cell.mesh_ttl = lexer.take_uint("a beacon TTL");
     } else {
-        return false;
+        throw ParseError(keyword.line, "unknown cell statement '" + word + "'");
     }
     lexer.expect_punct(";");
-    return true;
 }
 
 } // namespace
 
 CellConfig CellConfig::parse(const std::string& text) {
-    detail::Lexer lexer(text);
+    Lexer lexer(text);
+    return parse(lexer);
+}
+
+CellConfig CellConfig::parse(Lexer& lexer) {
     lexer.expect_ident("cell");
     lexer.expect_punct("{");
     CellConfig cell;
-    for (;;) {
-        const detail::Token token = lexer.take();
-        if (token.kind == detail::TokKind::Punct && token.text == "}") {
-            break;
-        }
-        if (token.kind != detail::TokKind::Ident) {
-            throw CampaignParseError(token.line, "expected a cell statement, got '" +
-                                                     token.text + "'");
-        }
-        if (!parse_cell_statement(lexer, token.text, token.line, cell)) {
-            throw CampaignParseError(token.line,
-                                     "unknown cell statement '" + token.text + "'");
-        }
+    while (!lexer.accept_punct("}")) {
+        parse_cell_statement(lexer, lexer.take_ident("a cell statement"), cell);
     }
     return cell;
 }
@@ -524,160 +470,69 @@ std::string CampaignSpec::str() const {
 
 namespace {
 
-/// Values of a multi-valued axis statement: one or more tokens before ';',
-/// each converted by `convert` (which throws on an unknown value).
-template <typename Value, typename Convert>
-std::vector<Value> parse_axis_values(detail::Lexer& lexer, Convert convert) {
-    std::vector<Value> values;
-    while (lexer.peek().kind == detail::TokKind::Ident ||
-           lexer.peek().kind == detail::TokKind::Number) {
-        values.push_back(convert(lexer.take()));
+/// Values of a multi-valued axis statement: one or more Ident/Number tokens
+/// before its ';', each read by `take_value`.
+template <typename TakeValue>
+auto parse_axis(Lexer& lexer, TakeValue take_value) {
+    std::vector<decltype(take_value())> values;
+    while (lexer.peek().kind == TokKind::Ident || lexer.peek().kind == TokKind::Number) {
+        values.push_back(take_value());
     }
     if (values.empty()) {
-        throw CampaignParseError(lexer.peek().line,
-                                 "axis statement needs at least one value");
+        lexer.fail("axis statement needs at least one value");
     }
-    lexer.expect_punct(";");
     return values;
 }
 
 } // namespace
 
 CampaignSpec CampaignSpec::parse(const std::string& text) {
-    using detail::Token;
-    using detail::TokKind;
-    detail::Lexer lexer(text);
+    Lexer lexer(text);
     lexer.expect_ident("campaign");
-    CampaignSpec spec(lexer.take_ident("a campaign name"));
+    CampaignSpec spec(lexer.take_ident("a campaign name").text);
     lexer.expect_punct("{");
-
-    auto ident_value = [](const Token& token) {
-        if (token.kind != TokKind::Ident) {
-            throw CampaignParseError(token.line,
-                                     "expected an axis value, got '" + token.text +
-                                         "'");
-        }
-        return token;
-    };
-    auto count_value = [](const Token& token) {
-        if (token.kind != TokKind::Number) {
-            throw CampaignParseError(token.line, "expected a count, got '" +
-                                                     token.text + "'");
-        }
-        return token;
-    };
-
-    for (;;) {
-        const Token token = lexer.take();
-        if (token.kind == TokKind::Punct && token.text == "}") {
-            break;
-        }
-        if (token.kind != TokKind::Ident) {
-            throw CampaignParseError(token.line,
-                                     "expected a campaign statement, got '" +
-                                         token.text + "'");
-        }
+    while (!lexer.accept_punct("}")) {
+        const Token token = lexer.take_ident("a campaign statement");
         const std::string& keyword = token.text;
         if (keyword == "template") {
-            spec.template_ = lexer.take_ident("a template name");
-            lexer.expect_punct(";");
+            spec.template_ = lexer.take_ident("a template name").text;
         } else if (keyword == "vehicles") {
-            spec.vehicles_ = parse_axis_values<std::size_t>(
-                lexer, [&](const Token& t) {
-                    const Token checked = count_value(t);
-                    const auto count =
-                        static_cast<std::size_t>(std::stoull(checked.text));
-                    check_vehicles(count, checked.line);
-                    return count;
-                });
+            spec.vehicles_ = parse_axis(lexer, [&] { return take_vehicles(lexer); });
         } else if (keyword == "duration") {
-            spec.duration_ = detail::take_duration(lexer);
-            check_duration(spec.duration_, token.line);
-            lexer.expect_punct(";");
+            spec.duration_ = take_cell_duration(lexer);
         } else if (keyword == "spec") {
-            const Token path = lexer.take();
-            if (path.kind != TokKind::String) {
-                throw CampaignParseError(path.line,
-                                         "expected a quoted spec file path");
-            }
-            spec.spec_file_ = path.text;
-            lexer.expect_punct(";");
+            spec.spec_file_ = lexer.take_string("a quoted spec file path");
         } else if (keyword == "weather") {
-            spec.weathers_ = parse_axis_values<Weather>(lexer, [&](const Token& t) {
-                Weather value{};
-                const Token checked = ident_value(t);
-                if (!weather_from_string(checked.text, value)) {
-                    throw CampaignParseError(checked.line, "unknown weather '" +
-                                                               checked.text + "'");
-                }
-                return value;
-            });
+            spec.weathers_ = parse_axis(
+                lexer, [&] { return take_enum(lexer, "weather", weather_from_string); });
         } else if (keyword == "fault") {
-            spec.faults_ = parse_axis_values<Fault>(lexer, [&](const Token& t) {
-                Fault value{};
-                const Token checked = ident_value(t);
-                if (!fault_from_string(checked.text, value)) {
-                    throw CampaignParseError(checked.line, "unknown fault '" +
-                                                               checked.text + "'");
-                }
-                return value;
-            });
+            spec.faults_ = parse_axis(
+                lexer, [&] { return take_enum(lexer, "fault", fault_from_string); });
         } else if (keyword == "policy") {
-            spec.policies_ =
-                parse_axis_values<PolicyKind>(lexer, [&](const Token& t) {
-                    PolicyKind value{};
-                    const Token checked = ident_value(t);
-                    if (!policy_from_string(checked.text, value)) {
-                        throw CampaignParseError(
-                            checked.line, "unknown policy '" + checked.text + "'");
-                    }
-                    return value;
-                });
+            spec.policies_ = parse_axis(
+                lexer, [&] { return take_enum(lexer, "policy", policy_from_string); });
         } else if (keyword == "topology") {
-            spec.topologies_ =
-                parse_axis_values<Topology>(lexer, [&](const Token& t) {
-                    Topology value{};
-                    const Token checked = ident_value(t);
-                    if (!topology_from_string(checked.text, value)) {
-                        throw CampaignParseError(
-                            checked.line, "unknown topology '" + checked.text + "'");
-                    }
-                    return value;
-                });
+            spec.topologies_ = parse_axis(
+                lexer, [&] { return take_enum(lexer, "topology", topology_from_string); });
         } else if (keyword == "domains") {
-            spec.domains_ = parse_axis_values<std::size_t>(
-                lexer, [&](const Token& t) {
-                    const Token checked = count_value(t);
-                    const auto count =
-                        static_cast<std::size_t>(std::stoull(checked.text));
-                    check_domains(count, checked.line);
-                    return count;
-                });
+            spec.domains_ = parse_axis(lexer, [&] { return take_domains(lexer); });
         } else if (keyword == "seeds") {
-            spec.seeds_.lo = lexer.take_number("a seed range low bound");
+            spec.seeds_.lo = lexer.take_uint("a seed range low bound");
             lexer.expect_punct("..");
-            spec.seeds_.hi = lexer.take_number("a seed range high bound");
-            lexer.expect_punct(";");
+            spec.seeds_.hi = lexer.take_uint("a seed range high bound");
         } else if (keyword == "learned") {
-            parse_learned(lexer, token.line, spec.learned_warmup_,
-                          spec.learned_no_metrics_);
-            lexer.expect_punct(";");
+            parse_learned(lexer, token.line, spec.learned_warmup_, spec.learned_no_metrics_);
         } else if (keyword == "mesh_range") {
-            spec.mesh_range_m_ = lexer.take_number("a radio range in meters");
-            lexer.expect_punct(";");
+            spec.mesh_range_m_ = lexer.take_uint("a radio range in meters");
         } else if (keyword == "mesh_ttl") {
-            spec.mesh_ttl_ = lexer.take_number("a beacon TTL");
-            lexer.expect_punct(";");
+            spec.mesh_ttl_ = lexer.take_uint("a beacon TTL");
         } else {
-            throw CampaignParseError(token.line, "unknown campaign axis '" +
-                                                     keyword + "'");
+            throw ParseError(token.line, "unknown campaign axis '" + keyword + "'");
         }
+        lexer.expect_punct(";");
     }
-    const Token tail = lexer.take();
-    if (tail.kind != TokKind::End) {
-        throw CampaignParseError(tail.line, "trailing input after the campaign "
-                                            "block: '" +
-                                                tail.text + "'");
+    if (lexer.peek().kind != TokKind::End) {
+        lexer.fail("trailing input after the campaign block: '" + lexer.peek().text + "'");
     }
     return spec;
 }

@@ -3,8 +3,8 @@
 // a parameterized matrix over the canonical platoon scenario template:
 // weather and fault injections × maneuver policies × topologies × domain
 // counts × platoon sizes × a seed range, declared in a compact text form
-// (parsed like skills::SkillGraphSpec) so campaigns are data, not
-// recompiles. expand() enumerates the matrix into CellConfigs in a fixed
+// (tokenized by util/lexer, like contracts and skill specs) so campaigns are
+// data, not recompiles. expand() enumerates the matrix into CellConfigs in a fixed
 // nested-loop order; every cell is fully described by its own text block
 // (CellConfig::str()/parse() round-trip), which is what the worker protocol
 // and the failing-seed corpus exchange.
@@ -41,23 +41,13 @@
 //          domains 2; seed 7; }
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::campaign {
-
-/// Thrown by CampaignSpec/CellConfig/corpus parsing on malformed text.
-class CampaignParseError : public std::runtime_error {
-public:
-    CampaignParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
 
 /// Weather axis: applied to *every* vehicle as capability-quality downgrades
 /// (radar / v2v_link source levels) at duration/4 — the preset vehicles have
@@ -139,8 +129,11 @@ struct CellConfig {
     [[nodiscard]] std::string id() const;
     /// Canonical multi-line `cell { ... }` block; parse(str()) round-trips.
     [[nodiscard]] std::string str() const;
-    /// Parse exactly one `cell { ... }` block.
+    /// Parse one `cell { ... }` block; throws sa::ParseError.
     [[nodiscard]] static CellConfig parse(const std::string& text);
+    /// Parse the `cell { ... }` block at the lexer's position (corpus
+    /// entries continue with their expect statements after it).
+    [[nodiscard]] static CellConfig parse(Lexer& lexer);
 };
 
 /// Inclusive seed range of a campaign ("seeds 1..16;").
@@ -159,7 +152,7 @@ public:
     CampaignSpec() = default;
     explicit CampaignSpec(std::string name);
 
-    /// Parse exactly one `campaign <name> { ... }` block.
+    /// Parse exactly one `campaign <name> { ... }` block; throws sa::ParseError.
     [[nodiscard]] static CampaignSpec parse(const std::string& text);
 
     // --- builder-style declaration ------------------------------------------

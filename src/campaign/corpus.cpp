@@ -1,11 +1,11 @@
 #include "campaign/corpus.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "campaign/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
@@ -75,61 +75,40 @@ std::string CorpusEntry::str() const {
 }
 
 CorpusEntry CorpusEntry::parse(const std::string& text) {
-    // Split at the first `expect`: the cell block re-uses CellConfig::parse
-    // (which checks for trailing input), the rest is the expectation list.
-    const std::size_t split = text.find("expect");
-    if (split == std::string::npos) {
-        throw CampaignParseError(0, "corpus entry has no expect statements");
-    }
+    Lexer lexer(text);
     CorpusEntry entry;
-    entry.cell = CellConfig::parse(text.substr(0, split));
+    entry.cell = CellConfig::parse(lexer);
     entry.status.clear();
-
-    const std::string expects = text.substr(split);
-    detail::Lexer lexer(expects);
-    while (lexer.peek().kind != detail::TokKind::End) {
+    while (lexer.peek().kind != TokKind::End) {
         lexer.expect_ident("expect");
-        const detail::Token what = lexer.take();
-        if (what.kind != detail::TokKind::Ident) {
-            throw CampaignParseError(what.line, "expected an expectation kind" +
-                                                    std::string(", got '") +
-                                                    what.text + "'");
-        }
+        const Token what = lexer.take_ident("an expectation kind");
         if (what.text == "status") {
-            const std::string value = lexer.take_ident("a status");
+            const std::string value = lexer.take_ident("a status").text;
             if (value != "ok" && value != "violation" && value != "crash") {
-                throw CampaignParseError(what.line,
-                                         "unknown status '" + value + "'");
+                throw ParseError(what.line, "unknown status '" + value + "'");
             }
             entry.status = value;
         } else if (what.text == "reason") {
-            const detail::Token value = lexer.take();
-            if (value.kind != detail::TokKind::String) {
-                throw CampaignParseError(value.line, "expected a quoted reason");
-            }
-            entry.reason = value.text;
+            entry.reason = lexer.take_string("a quoted reason");
         } else if (what.text == "signal") {
-            entry.signal =
-                static_cast<int>(lexer.take_number("a signal number"));
+            entry.signal = static_cast<int>(lexer.take_uint("a signal number", INT_MAX));
         } else if (what.text == "fingerprint") {
             // Canonically quoted (see str()); bare Ident/Number tokens are
             // accepted too for hand-written entries whose hex16 happens to
             // lex as a single token.
-            const detail::Token value = lexer.take();
-            if (value.kind != detail::TokKind::String &&
-                value.kind != detail::TokKind::Ident &&
-                value.kind != detail::TokKind::Number) {
-                throw CampaignParseError(value.line, "expected a fingerprint");
+            const Token value = lexer.take();
+            if (value.kind != TokKind::String && value.kind != TokKind::Ident &&
+                value.kind != TokKind::Number) {
+                throw ParseError(value.line, "expected a fingerprint");
             }
             entry.fingerprint = value.text;
         } else {
-            throw CampaignParseError(what.line, "unknown expectation '" +
-                                                    what.text + "'");
+            throw ParseError(what.line, "unknown expectation '" + what.text + "'");
         }
         lexer.expect_punct(";");
     }
     if (entry.status.empty()) {
-        throw CampaignParseError(0, "corpus entry lacks 'expect status'");
+        throw ParseError(0, "corpus entry lacks 'expect status'");
     }
     return entry;
 }
@@ -183,9 +162,9 @@ load_corpus(const std::string& directory) {
         text << in.rdbuf();
         try {
             out.emplace_back(path.string(), CorpusEntry::parse(text.str()));
-        } catch (const CampaignParseError& error) {
-            throw CampaignParseError(error.line(), path.string() + ": " +
-                                                       error.what());
+        } catch (const ParseError& error) {
+            throw ParseError(error.line(), format("%s:%d: %s", path.string().c_str(),
+                                                  error.line(), error.what()));
         }
     }
     return out;

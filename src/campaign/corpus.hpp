@@ -64,8 +64,8 @@ struct CorpusEntry {
 
 /// Load every *.repro entry under `directory` (sorted by filename so replay
 /// order is stable). Returns (path, entry) pairs; a missing directory is an
-/// empty corpus, an unparseable entry throws CampaignParseError with the
-/// filename in the message.
+/// empty corpus, an unparseable entry throws sa::ParseError whose message
+/// starts with `<file>:<line>: `.
 [[nodiscard]] std::vector<std::pair<std::string, CorpusEntry>>
 load_corpus(const std::string& directory);
 

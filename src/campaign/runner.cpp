@@ -107,15 +107,15 @@ void apply_fault(scenario::Scenario& scenario,
 skills::SkillGraphSpec load_spec_file(const std::string& path) {
     std::ifstream in(path);
     if (!in) {
-        throw CampaignParseError(0, "cannot read spec file '" + path + "'");
+        throw ParseError(0, "cannot read spec file '" + path + "'");
     }
     std::ostringstream text;
     text << in.rdbuf();
     try {
         return skills::SkillGraphSpec::parse(text.str());
-    } catch (const std::exception& error) {
-        throw CampaignParseError(0, "spec file '" + path +
-                                        "': " + std::string(error.what()));
+    } catch (const ParseError& error) {
+        throw ParseError(0, format("spec file '%s': line %d: %s", path.c_str(),
+                                   error.line(), error.what()));
     }
 }
 

@@ -1,107 +1,12 @@
 #include "model/contract_parser.hpp"
 
-#include <cctype>
+#include <climits>
 
+#include "util/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::model {
-
-ParseError::ParseError(int line, const std::string& message)
-    : std::runtime_error(format("line %d: %s", line, message.c_str())), line_(line) {}
-
 namespace {
-
-enum class TokKind { Ident, Number, Punct, End };
-
-struct Token {
-    TokKind kind = TokKind::End;
-    std::string text;
-    int line = 0;
-};
-
-class Lexer {
-public:
-    explicit Lexer(const std::string& text) : text_(text) { advance(); }
-
-    [[nodiscard]] const Token& peek() const noexcept { return current_; }
-
-    Token take() {
-        Token t = current_;
-        advance();
-        return t;
-    }
-
-private:
-    void advance() {
-        skip_space_and_comments();
-        current_.line = line_;
-        if (pos_ >= text_.size()) {
-            current_ = Token{TokKind::End, "", line_};
-            return;
-        }
-        const char c = text_[pos_];
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '_' || text_[pos_] == '.')) {
-                ++pos_;
-            }
-            current_ = Token{TokKind::Ident, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            // number with optional 0x prefix, decimal point and unit suffix
-            std::size_t start = pos_;
-            if (c == '0' && pos_ + 1 < text_.size() &&
-                (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
-                pos_ += 2;
-                while (pos_ < text_.size() &&
-                       std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-                    ++pos_;
-                }
-            } else {
-                while (pos_ < text_.size() &&
-                       (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                        text_[pos_] == '.')) {
-                    ++pos_;
-                }
-                // unit suffix letters (us, ms, ns, s)
-                while (pos_ < text_.size() &&
-                       std::isalpha(static_cast<unsigned char>(text_[pos_]))) {
-                    ++pos_;
-                }
-            }
-            current_ = Token{TokKind::Number, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        current_ = Token{TokKind::Punct, std::string(1, c), line_};
-        ++pos_;
-    }
-
-    void skip_space_and_comments() {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '\n') {
-                ++line_;
-                ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n') {
-                    ++pos_;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    Token current_;
-};
 
 class Parser {
 public:
@@ -116,104 +21,32 @@ public:
     }
 
 private:
-    [[noreturn]] void fail(const std::string& msg) { throw ParseError(lex_.peek().line, msg); }
-
-    Token expect_ident(const std::string& what) {
-        if (lex_.peek().kind != TokKind::Ident) {
-            fail("expected " + what + ", got '" + lex_.peek().text + "'");
-        }
-        return lex_.take();
-    }
-
-    void expect_punct(char c) {
-        if (lex_.peek().kind != TokKind::Punct || lex_.peek().text[0] != c) {
-            fail(std::string("expected '") + c + "', got '" + lex_.peek().text + "'");
-        }
-        lex_.take();
-    }
-
-    bool accept_keyword(const std::string& kw) {
-        if (lex_.peek().kind == TokKind::Ident && lex_.peek().text == kw) {
-            lex_.take();
-            return true;
-        }
-        return false;
-    }
-
-    Duration parse_duration() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected a duration, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        // Split numeric part and suffix.
-        std::size_t i = 0;
-        while (i < t.text.size() &&
-               (std::isdigit(static_cast<unsigned char>(t.text[i])) || t.text[i] == '.')) {
-            ++i;
-        }
-        const std::string num = t.text.substr(0, i);
-        const std::string unit = to_lower(t.text.substr(i));
-        double value = 0.0;
-        try {
-            value = std::stod(num);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid number '" + t.text + "'");
-        }
-        double scale = 0.0;
-        if (unit == "ns") scale = 1.0;
-        else if (unit == "us") scale = 1e3;
-        else if (unit == "ms") scale = 1e6;
-        else if (unit == "s") scale = 1e9;
-        else throw ParseError(t.line, "duration needs a unit (ns/us/ms/s): '" + t.text + "'");
-        return Duration(static_cast<std::int64_t>(value * scale));
-    }
+    Duration parse_duration() { return Duration(lex_.take_duration()); }
 
     double parse_rate() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected a rate, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        double value = 0.0;
-        try {
-            value = std::stod(t.text);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid number '" + t.text + "'");
-        }
-        expect_punct('/');
-        const Token unit = expect_ident("rate unit");
-        if (unit.text != "s") {
-            throw ParseError(unit.line, "rates must be per second ('/s')");
+        const double value = lex_.take_real("a rate");
+        lex_.expect_punct("/");
+        const int line = lex_.peek().line;
+        if (lex_.take_ident("rate unit").text != "s") {
+            throw ParseError(line, "rates must be per second ('/s')");
         }
         return value;
     }
 
-    std::int64_t parse_int() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected an integer, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        try {
-            if (starts_with(t.text, "0x") || starts_with(t.text, "0X")) {
-                return std::stoll(t.text.substr(2), nullptr, 16);
-            }
-            return std::stoll(t.text);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid integer '" + t.text + "'");
-        }
-    }
+    int parse_int() { return static_cast<int>(lex_.take_uint("an integer", INT_MAX)); }
 
     TaskSpec parse_task() {
         TaskSpec task;
-        task.name = expect_ident("task name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("task attribute");
+        task.name = lex_.take_ident("task name").text;
+        lex_.expect_punct("{");
+        while (!lex_.accept_punct("}")) {
+            const Token key = lex_.take_ident("task attribute");
             if (key.text == "wcet") task.wcet = parse_duration();
             else if (key.text == "bcet") task.bcet = parse_duration();
             else if (key.text == "period") task.period = parse_duration();
             else if (key.text == "deadline") task.deadline = parse_duration();
             else throw ParseError(key.line, "unknown task attribute '" + key.text + "'");
-            expect_punct(';');
+            lex_.expect_punct(";");
         }
         if (task.bcet.count_ns() == 0) {
             task.bcet = task.wcet;
@@ -226,17 +59,18 @@ private:
 
     MessageSpec parse_message() {
         MessageSpec msg;
-        msg.name = expect_ident("message name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("message attribute");
-            if (key.text == "id") msg.can_id = static_cast<std::uint32_t>(parse_int());
-            else if (key.text == "payload") msg.payload_bytes = static_cast<int>(parse_int());
+        msg.name = lex_.take_ident("message name").text;
+        lex_.expect_punct("{");
+        while (!lex_.accept_punct("}")) {
+            const Token key = lex_.take_ident("message attribute");
+            if (key.text == "id") msg.can_id = static_cast<std::uint32_t>(
+                lex_.take_uint("an integer", UINT32_MAX));
+            else if (key.text == "payload") msg.payload_bytes = parse_int();
             else if (key.text == "period") msg.period = parse_duration();
             else if (key.text == "deadline") msg.deadline = parse_duration();
-            else if (key.text == "bus") msg.bus = expect_ident("bus name").text;
+            else if (key.text == "bus") msg.bus = lex_.take_ident("bus name").text;
             else throw ParseError(key.line, "unknown message attribute '" + key.text + "'");
-            expect_punct(';');
+            lex_.expect_punct(";");
         }
         if (msg.payload_bytes < 0 || msg.payload_bytes > 8) {
             throw ParseError(lex_.peek().line,
@@ -245,88 +79,72 @@ private:
         return msg;
     }
 
-    bool accept_punct_if(char c) {
-        if (lex_.peek().kind == TokKind::Punct && lex_.peek().text[0] == c) {
-            lex_.take();
-            return true;
-        }
-        return false;
-    }
-
     Contract parse_component() {
-        if (!accept_keyword("component")) {
-            fail("expected 'component'");
-        }
+        lex_.expect_ident("component");
         Contract c;
-        c.component = expect_ident("component name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("contract clause");
+        c.component = lex_.take_ident("component name").text;
+        lex_.expect_punct("{");
+        while (!lex_.accept_punct("}")) {
+            const Token key = lex_.take_ident("contract clause");
             if (key.text == "asil") {
-                const Token level = expect_ident("ASIL level");
+                const Token level = lex_.take_ident("ASIL level");
                 const auto asil = asil_from_string(level.text);
                 if (!asil.has_value()) {
                     throw ParseError(level.line, "unknown ASIL '" + level.text + "'");
                 }
                 c.asil = *asil;
-                expect_punct(';');
+                lex_.expect_punct(";");
             } else if (key.text == "security_level") {
-                c.security_level = static_cast<int>(parse_int());
+                c.security_level = parse_int();
                 if (c.security_level < 0 || c.security_level > 3) {
                     throw ParseError(key.line, "security_level must be 0..3");
                 }
-                expect_punct(';');
+                lex_.expect_punct(";");
             } else if (key.text == "task") {
                 c.tasks.push_back(parse_task());
             } else if (key.text == "provides") {
-                if (!accept_keyword("service")) {
-                    fail("expected 'service' after 'provides'");
-                }
+                lex_.expect_ident("service");
                 ProvidedService svc;
-                svc.name = expect_ident("service name").text;
-                if (accept_punct_if('{')) {
-                    while (!accept_punct_if('}')) {
-                        const Token attr = expect_ident("service attribute");
+                svc.name = lex_.take_ident("service name").text;
+                if (lex_.accept_punct("{")) {
+                    while (!lex_.accept_punct("}")) {
+                        const Token attr = lex_.take_ident("service attribute");
                         if (attr.text == "max_rate") svc.max_client_rate_hz = parse_rate();
                         else if (attr.text == "min_client_level")
-                            svc.min_client_level = static_cast<int>(parse_int());
+                            svc.min_client_level = parse_int();
                         else
                             throw ParseError(attr.line,
                                              "unknown service attribute '" + attr.text + "'");
-                        expect_punct(';');
+                        lex_.expect_punct(";");
                     }
                 } else {
-                    expect_punct(';');
+                    lex_.expect_punct(";");
                 }
                 c.provides.push_back(std::move(svc));
             } else if (key.text == "requires") {
-                if (!accept_keyword("service")) {
-                    fail("expected 'service' after 'requires'");
-                }
+                lex_.expect_ident("service");
                 RequiredService req;
-                req.name = expect_ident("service name").text;
-                expect_punct(';');
+                req.name = lex_.take_ident("service name").text;
+                lex_.expect_punct(";");
                 c.requires_.push_back(std::move(req));
             } else if (key.text == "message") {
                 c.messages.push_back(parse_message());
             } else if (key.text == "pin") {
-                if (!accept_keyword("ecu")) {
-                    fail("expected 'ecu' after 'pin'");
-                }
-                c.pinned_ecu = expect_ident("ECU name").text;
-                expect_punct(';');
+                lex_.expect_ident("ecu");
+                c.pinned_ecu = lex_.take_ident("ECU name").text;
+                lex_.expect_punct(";");
             } else if (key.text == "redundant_with") {
-                c.redundant_with = expect_ident("component name").text;
-                expect_punct(';');
+                c.redundant_with = lex_.take_ident("component name").text;
+                lex_.expect_punct(";");
             } else if (key.text == "max_e2e_latency") {
                 c.max_e2e_latency = parse_duration();
-                expect_punct(';');
+                lex_.expect_punct(";");
             } else if (key.text == "external") {
                 c.external_interface = true;
-                expect_punct(';');
+                lex_.expect_punct(";");
             } else if (key.text == "gateway") {
                 c.gateway = true;
-                expect_punct(';');
+                lex_.expect_punct(";");
             } else {
                 throw ParseError(key.line, "unknown contract clause '" + key.text + "'");
             }

@@ -15,26 +15,18 @@
 //     gateway;      // mediates between security zones
 //   }
 //
-// Durations accept ns/us/ms/s suffixes; rates accept "<n>/s"; ids accept
-// decimal or 0x hex. Comments: // to end of line.
+// Durations are a number and a ns/us/ms/s unit; rates accept "<n>/s";
+// integers accept decimal or 0x hex. Tokens and comments are util/lexer's.
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "model/contract.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::model {
 
-class ParseError : public std::runtime_error {
-public:
-    ParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
-
+/// Both parse functions throw sa::ParseError on malformed text.
 class ContractParser {
 public:
     /// Parse a document possibly containing several component contracts.

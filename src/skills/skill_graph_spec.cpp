@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 #include "util/assert.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::skills {
-
-SpecParseError::SpecParseError(int line, const std::string& message)
-    : std::runtime_error(format("line %d: %s", line, message.c_str())), line_(line) {}
 
 bool aggregation_from_string(const std::string& text, Aggregation& out) {
     if (text == "min") {
@@ -38,6 +37,15 @@ bool is_identifier(const std::string& text) {
     return std::all_of(text.begin(), text.end(), [](char c) {
         return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
     });
+}
+
+/// Shortest fixed-notation text that reads back as exactly `weight`: the
+/// Number token has no exponent, so scientific notation would not parse.
+std::string weight_text(double weight) {
+    char buffer[512];
+    const auto result =
+        std::to_chars(buffer, buffer + sizeof buffer, weight, std::chars_format::fixed);
+    return std::string(buffer, result.ptr);
 }
 
 } // namespace
@@ -94,7 +102,8 @@ SkillGraphSpec& SkillGraphSpec::aggregate(std::string skill, Aggregation aggrega
 
 SkillGraphSpec& SkillGraphSpec::weight(std::string skill, std::string child,
                                        double weight) {
-    SA_REQUIRE(weight > 0.0, "weights must be positive");
+    SA_REQUIRE(weight > 0.0 && std::isfinite(weight),
+               "weights must be positive and finite");
     weights_.push_back(WeightDecl{std::move(skill), std::move(child), weight});
     return *this;
 }
@@ -167,8 +176,8 @@ std::string SkillGraphSpec::str() const {
                std::string(to_string(agg.aggregation)) + ";\n";
     }
     for (const auto& w : weights_) {
-        out += "  weight " + w.skill + " " + w.child + " " +
-               format("%g", w.weight) + ";\n";
+        out += "  weight " + w.skill + " " + w.child + " " + weight_text(w.weight) +
+               ";\n";
     }
     out += "}\n";
     return out;
@@ -210,215 +219,86 @@ AbilityGraph SkillGraphSpec::instantiate_abilities(AbilityThresholds thresholds)
 }
 
 // --- parser -----------------------------------------------------------------------
-// Hand-rolled recursive-descent over a tiny token stream, mirroring the
-// structure (and error style) of model/contract_parser.
+// Hand-rolled recursive descent over the shared util/lexer token stream.
 
 namespace {
-
-enum class TokKind { Ident, Number, String, Punct, End };
-
-struct Token {
-    TokKind kind = TokKind::End;
-    std::string text;
-    int line = 0;
-};
-
-class Lexer {
-public:
-    explicit Lexer(const std::string& text) : text_(text) { advance(); }
-
-    [[nodiscard]] const Token& peek() const noexcept { return current_; }
-
-    Token take() {
-        Token t = current_;
-        advance();
-        return t;
-    }
-
-private:
-    void advance() {
-        skip_space_and_comments();
-        current_.line = line_;
-        if (pos_ >= text_.size()) {
-            current_ = Token{TokKind::End, "", line_};
-            return;
-        }
-        const char c = text_[pos_];
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '_')) {
-                ++pos_;
-            }
-            current_ = Token{TokKind::Ident, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '.')) {
-                ++pos_;
-            }
-            current_ = Token{TokKind::Number, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        if (c == '"') {
-            std::size_t start = ++pos_;
-            while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\n') {
-                ++pos_;
-            }
-            if (pos_ >= text_.size() || text_[pos_] != '"') {
-                throw SpecParseError(line_, "unterminated string literal");
-            }
-            current_ = Token{TokKind::String, text_.substr(start, pos_ - start), line_};
-            ++pos_;
-            return;
-        }
-        if (c == '-' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-            current_ = Token{TokKind::Punct, "->", line_};
-            pos_ += 2;
-            return;
-        }
-        current_ = Token{TokKind::Punct, std::string(1, c), line_};
-        ++pos_;
-    }
-
-    void skip_space_and_comments() {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '\n') {
-                ++line_;
-                ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n') {
-                    ++pos_;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    Token current_;
-};
 
 class SpecParser {
 public:
     explicit SpecParser(const std::string& text) : lex_(text) {}
 
     SkillGraphSpec parse_one() {
-        expect_ident("graph");
-        SkillGraphSpec spec(expect(TokKind::Ident, "graph name").text);
-        expect_punct("{");
-        while (!peek_punct("}")) {
+        lex_.expect_ident("graph");
+        SkillGraphSpec spec(lex_.take_ident("graph name").text);
+        lex_.expect_punct("{");
+        while (!lex_.accept_punct("}")) {
             parse_statement(spec);
         }
-        expect_punct("}");
         if (lex_.peek().kind != TokKind::End) {
-            fail("expected exactly one graph block");
+            lex_.fail("expected exactly one graph block");
         }
         return spec;
     }
 
 private:
-    [[noreturn]] void fail(const std::string& msg) {
-        throw SpecParseError(lex_.peek().line, msg);
-    }
-
-    Token expect(TokKind kind, const std::string& what) {
-        if (lex_.peek().kind != kind) {
-            fail("expected " + what + ", got '" + lex_.peek().text + "'");
+    /// `<name> ["description"]`; a name declared twice is rejected here,
+    /// before the builder's precondition would turn it into an abort.
+    void parse_node(SkillGraphSpec& spec, SkillNodeKind kind, const char* what) {
+        const Token name = lex_.take_ident(what);
+        if (spec.declares_node(name.text)) {
+            throw ParseError(name.line, "duplicate node '" + name.text + "'");
         }
-        return lex_.take();
-    }
-
-    void expect_ident(const std::string& word) {
-        const Token t = expect(TokKind::Ident, "'" + word + "'");
-        if (t.text != word) {
-            throw SpecParseError(t.line, "expected '" + word + "', got '" + t.text + "'");
-        }
-    }
-
-    void expect_punct(const std::string& punct) {
-        if (lex_.peek().kind != TokKind::Punct || lex_.peek().text != punct) {
-            fail("expected '" + punct + "', got '" + lex_.peek().text + "'");
-        }
-        lex_.take();
-    }
-
-    [[nodiscard]] bool peek_punct(const std::string& punct) {
-        return lex_.peek().kind == TokKind::Punct && lex_.peek().text == punct;
-    }
-
-    std::string optional_description() {
+        std::string description;
         if (lex_.peek().kind == TokKind::String) {
-            return lex_.take().text;
+            description = lex_.take().text;
         }
-        return {};
+        switch (kind) {
+        case SkillNodeKind::Skill: spec.skill(name.text, description); break;
+        case SkillNodeKind::DataSource: spec.source(name.text, description); break;
+        case SkillNodeKind::DataSink: spec.sink(name.text, description); break;
+        }
     }
 
     void parse_statement(SkillGraphSpec& spec) {
-        const Token head = expect(TokKind::Ident, "statement");
+        const Token head = lex_.take_ident("statement");
         if (head.text == "root") {
-            spec.root(expect(TokKind::Ident, "root skill name").text);
+            spec.root(lex_.take_ident("root skill name").text);
         } else if (head.text == "skill") {
-            const std::string name = expect(TokKind::Ident, "skill name").text;
-            spec.skill(name, optional_description());
+            parse_node(spec, SkillNodeKind::Skill, "skill name");
         } else if (head.text == "source") {
-            const std::string name = expect(TokKind::Ident, "source name").text;
-            spec.source(name, optional_description());
+            parse_node(spec, SkillNodeKind::DataSource, "source name");
         } else if (head.text == "sink") {
-            const std::string name = expect(TokKind::Ident, "sink name").text;
-            spec.sink(name, optional_description());
+            parse_node(spec, SkillNodeKind::DataSink, "sink name");
         } else if (head.text == "aggregate") {
-            const std::string skill = expect(TokKind::Ident, "skill name").text;
-            const Token agg = expect(TokKind::Ident, "aggregation name");
+            const std::string skill = lex_.take_ident("skill name").text;
+            const Token agg = lex_.take_ident("aggregation name");
             Aggregation aggregation{};
             if (!aggregation_from_string(agg.text, aggregation)) {
-                throw SpecParseError(agg.line,
-                                     "unknown aggregation '" + agg.text +
-                                         "' (min, product, weighted_mean)");
+                throw ParseError(agg.line, "unknown aggregation '" + agg.text +
+                                               "' (min, product, weighted_mean)");
             }
             spec.aggregate(skill, aggregation);
         } else if (head.text == "weight") {
-            const std::string skill = expect(TokKind::Ident, "skill name").text;
-            const std::string child = expect(TokKind::Ident, "child name").text;
-            const Token value = expect(TokKind::Number, "weight value");
-            double weight = 0.0;
-            try {
-                std::size_t consumed = 0;
-                weight = std::stod(value.text, &consumed);
-                if (consumed != value.text.size()) {
-                    throw std::invalid_argument("trailing characters");
-                }
-            } catch (const std::exception&) {
-                throw SpecParseError(value.line,
-                                     "bad weight value '" + value.text + "'");
-            }
+            const std::string skill = lex_.take_ident("skill name").text;
+            const std::string child = lex_.take_ident("child name").text;
+            const int line = lex_.peek().line;
+            const double weight = lex_.take_real("weight value");
             if (weight <= 0.0) {
-                throw SpecParseError(value.line, "weights must be positive");
+                throw ParseError(line, "weights must be positive");
             }
             spec.weight(skill, child, weight);
-        } else if (peek_punct("->")) {
+        } else if (lex_.accept_punct("->")) {
             // `<parent> -> <child> [<child> ...]`
-            lex_.take();
             std::vector<std::string> children;
-            children.push_back(expect(TokKind::Ident, "child name").text);
+            children.push_back(lex_.take_ident("child name").text);
             while (lex_.peek().kind == TokKind::Ident) {
                 children.push_back(lex_.take().text);
             }
             spec.depends(head.text, children);
         } else {
-            throw SpecParseError(head.line, "unknown statement '" + head.text + "'");
+            throw ParseError(head.line, "unknown statement '" + head.text + "'");
         }
-        expect_punct(";");
+        lex_.expect_punct(";");
     }
 
     Lexer lex_;

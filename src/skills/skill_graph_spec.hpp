@@ -6,7 +6,7 @@
 // per-skill aggregation choices, per-edge weights and the root skill, and
 // can be
 //   - built programmatically (builder-style chaining),
-//   - parsed from a compact text form (mirroring model/contract_parser), or
+//   - parsed from a compact text form (the shared util/lexer tokens), or
 //   - serialized back to that text form (str(); parse(str()) round-trips).
 // instantiate() produces the structural SkillGraph; instantiate_abilities()
 // the runtime AbilityGraph with aggregations/weights applied — the one
@@ -24,24 +24,14 @@
 //     weight <skill> <child> <number>;
 //   }
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "skills/ability_graph.hpp"
 #include "skills/skill_graph.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::skills {
-
-/// Thrown by SkillGraphSpec::parse() on malformed spec text.
-class SpecParseError : public std::runtime_error {
-public:
-    SpecParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
 
 class SkillGraphSpec {
 public:
@@ -69,7 +59,7 @@ public:
     /// node name: anything else could not round-trip through the text form.
     explicit SkillGraphSpec(std::string name);
 
-    /// Parse exactly one `graph <name> { ... }` block.
+    /// Parse exactly one `graph <name> { ... }` block; throws sa::ParseError.
     [[nodiscard]] static SkillGraphSpec parse(const std::string& text);
 
     // --- builder-style declaration (order is preserved) ---------------------

@@ -77,8 +77,8 @@ TEST(CampaignSpec, RejectsUnknownAxisWithLineNumber) {
                              "  terrain mars;\n  seeds 1..2;\n}\n";
     try {
         (void)CampaignSpec::parse(text);
-        FAIL() << "expected CampaignParseError";
-    } catch (const CampaignParseError& err) {
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& err) {
         EXPECT_EQ(err.line(), 3);
         EXPECT_NE(std::string(err.what()).find("terrain"), std::string::npos);
     }
@@ -87,15 +87,15 @@ TEST(CampaignSpec, RejectsUnknownAxisWithLineNumber) {
 TEST(CampaignSpec, RejectsBadAxisValues) {
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { weather sunny; seeds 1..1; }"),
-                 CampaignParseError);
+                 ParseError);
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { vehicles 1; seeds 1..1; }"),
-                 CampaignParseError); // below the [2, 8] platoon floor
+                 ParseError); // below the [2, 8] platoon floor
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { domains 9; seeds 1..1; }"),
-                 CampaignParseError);
+                 ParseError);
     EXPECT_THROW((void)CampaignSpec::parse("campaign x { seeds 1..1; }\njunk"),
-                 CampaignParseError); // trailing tokens after the block
+                 ParseError); // trailing tokens after the block
 }
 
 TEST(CampaignSpec, ExpandOrderIsStableWithSeedInnermost) {
@@ -183,7 +183,7 @@ TEST(CampaignSpec, LearnedStatementExpandsIntoEveryCell) {
 
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { seeds 1..1; learned 0ms; }"),
-                 CampaignParseError); // warm-up must be positive
+                 ParseError); // warm-up must be positive
 }
 
 TEST(CellConfig, MeshAxisRoundTripsAndStaysOutOfNonMeshCells) {
@@ -382,6 +382,21 @@ TEST(CorpusEntry, RoundTripsAndChecksReplays) {
     CellVerdict other;
     other.status = "ok";
     EXPECT_FALSE(reparsed.mismatches(other.json()).empty());
+
+    // The entry is read in one pass: a spec path containing "expect" is
+    // just a string, and an error in an expect statement reports its own
+    // line (13 here, after the 12-line cell block).
+    CorpusEntry with_spec = entry;
+    with_spec.cell.spec_file = "fixtures/specs/unexpected.skills";
+    EXPECT_EQ(CorpusEntry::parse(with_spec.str()).cell, with_spec.cell);
+    std::string broken = entry.str();
+    broken.replace(broken.find("status violation"), 16, "status bogus");
+    try {
+        (void)CorpusEntry::parse(broken);
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& err) {
+        EXPECT_EQ(err.line(), 13);
+    }
 }
 
 TEST(CorpusEntry, CrashSignatureGroupsBySignal) {

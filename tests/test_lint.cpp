@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "learn/anomaly_model_monitor.hpp"
@@ -532,6 +533,18 @@ TEST(LintBuilder, TXT001ContractParseFailure) {
     const auto report = builder.lint();
     ASSERT_TRUE(report.has("TXT001"));
     EXPECT_FALSE(report.ok());
+}
+
+TEST(LintBuilder, TXT001NamesTheLineOnce) {
+    scenario::ScenarioBuilder builder;
+    builder.vehicle("ego")
+        .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+        .contracts("component broken {\n  task t { wcet 1ms; period 10ms; }\n  asil Z;\n}");
+    const auto report = builder.lint();
+    const auto txt = std::find_if(report.findings().begin(), report.findings().end(),
+                                  [](const lint::Finding& f) { return f.rule == "TXT001"; });
+    ASSERT_NE(txt, report.findings().end()) << report.str();
+    EXPECT_EQ(txt->message, "line 3: unknown ASIL 'Z'");
 }
 
 TEST(LintBuilder, CleanVehicleLintsClean) {

@@ -435,14 +435,14 @@ TEST(SkillGraphSpec, BuilderFormEqualsParsedForm) {
 }
 
 TEST(SkillGraphSpec, ParseErrorsCarryLineNumbers) {
-    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { bogus x; }"), SpecParseError);
-    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s "), SpecParseError);
+    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { bogus x; }"), ParseError);
+    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s "), ParseError);
     EXPECT_THROW((void)SkillGraphSpec::parse(
                      "graph g { skill s; aggregate s median; s -> s; }"),
-                 SpecParseError);
+                 ParseError);
     EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s \"unterminated; }"),
-                 SpecParseError);
-    // Malformed weight numbers surface as SpecParseError, not raw std::stod
+                 ParseError);
+    // Malformed weight numbers surface as ParseError, not raw std::stod
     // exceptions; partially-consumed tokens ("1.2.3") and non-positive
     // weights are rejected the same way.
     const char* const kWeightPrefix =
@@ -450,14 +450,41 @@ TEST(SkillGraphSpec, ParseErrorsCarryLineNumbers) {
     for (const char* value : {".;", "1.2.3;", "0;"}) {
         EXPECT_THROW((void)SkillGraphSpec::parse(std::string(kWeightPrefix) + value +
                                                  " }"),
-                     SpecParseError)
+                     ParseError)
             << value;
     }
     try {
         (void)SkillGraphSpec::parse("graph g {\n  skill a;\n  bogus x;\n}");
-        FAIL() << "expected SpecParseError";
-    } catch (const SpecParseError& err) {
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& err) {
         EXPECT_EQ(err.line(), 3);
+    }
+}
+
+TEST(SkillGraphSpec, RepeatedNodeNameIsAParseErrorOnItsLine) {
+    // A repeated skill/source/sink name is a diagnostic, not the builder's
+    // precondition failure (which aborted sa_lint).
+    for (const char* kind : {"skill", "source", "sink"}) {
+        const std::string text = std::string("graph g {\n  skill a;\n  ") + kind + " a;\n}";
+        try {
+            (void)SkillGraphSpec::parse(text);
+            ADD_FAILURE() << "expected ParseError for " << kind;
+        } catch (const ParseError& err) {
+            EXPECT_EQ(err.line(), 3) << kind;
+        }
+    }
+}
+
+TEST(SkillGraphSpec, WeightsRoundTripExactly) {
+    // str() writes plain decimals: "%g" wrote 1e-05 (no exponent in the
+    // Number token) and 1.23457e+08 (digits lost).
+    for (const double weight : {0.5, 1e-5, 123456789.0, 2.5e7}) {
+        SkillGraphSpec spec("w");
+        spec.skill("a").sink("b").depends("a", {"b"}).weight("a", "b", weight);
+        const auto reparsed = SkillGraphSpec::parse(spec.str());
+        ASSERT_EQ(reparsed.weights().size(), 1u) << spec.str();
+        EXPECT_EQ(reparsed.weights().front().weight, weight) << spec.str();
+        EXPECT_EQ(reparsed.str(), spec.str());
     }
 }
 

@@ -1,9 +1,10 @@
-// Unit tests for the util module: contracts, stats, random, strings.
+// Unit tests for the util module: contracts, stats, random, strings, lexer.
 
 #include <gtest/gtest.h>
 
 #include "util/alloc_hook.hpp"
 #include "util/assert.hpp"
+#include "util/lexer.hpp"
 #include "util/random.hpp"
 #include "util/stable_vector.hpp"
 #include "util/stats.hpp"
@@ -360,6 +361,77 @@ TEST(StableVector, ClearKeepsChunksAndRefillDoesNotAllocate) {
     EXPECT_EQ(v.size(), 7u);
     EXPECT_EQ(v[0].id, 100);
     EXPECT_EQ(v.back().id, 106);
+}
+
+// --- lexer -------------------------------------------------------------------
+
+std::vector<std::pair<TokKind, std::string>> tokens(const std::string& text) {
+    std::vector<std::pair<TokKind, std::string>> out;
+    Lexer lexer(text);
+    while (lexer.peek().kind != TokKind::End) {
+        const Token token = lexer.take();
+        out.emplace_back(token.kind, token.text);
+    }
+    return out;
+}
+
+TEST(Lexer, OneTokenSetForEveryGrammar) {
+    using T = TokKind;
+    const std::vector<std::pair<TokKind, std::string>> expected = {
+        {T::Ident, "seeds"}, {T::Number, "1"}, {T::Punct, ".."}, {T::Number, "16"},
+        {T::Ident, "a"}, {T::Punct, "->"}, {T::Ident, "b_2"}, {T::Number, "300"},
+        {T::Ident, "us"}, {T::Number, "2.5"}, {T::Number, "0x1A0"}, {T::String, "x y"},
+        {T::Punct, "."}, {T::Number, "5"}, {T::Number, "1"}, {T::Punct, "."},
+        {T::Punct, "-"}, {T::Punct, "/"}};
+    EXPECT_EQ(tokens("seeds 1..16 a->b_2 300us 2.5 0x1A0 \"x y\" .5 1. - / // note"),
+              expected);
+}
+
+TEST(Lexer, TracksLinesAcrossCommentsAndReportsThem) {
+    Lexer lexer("a // one\n\n  b\n\"open");
+    EXPECT_EQ(lexer.take().line, 1);
+    EXPECT_EQ(lexer.peek().line, 3);
+    try {
+        (void)lexer.take(); // lexing the next token hits the open string
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& error) {
+        EXPECT_EQ(error.line(), 4);
+        EXPECT_STREQ(error.what(), "unterminated string literal");
+    }
+}
+
+TEST(Lexer, HelpersDiagnoseWithoutLinePrefix) {
+    Lexer lexer("x\n;");
+    try {
+        (void)lexer.expect_punct("{");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& error) {
+        EXPECT_EQ(error.line(), 1);
+        EXPECT_STREQ(error.what(), "expected '{', got 'x'");
+    }
+    Lexer end("");
+    EXPECT_THROW((void)end.take_ident("a name"), ParseError);
+}
+
+TEST(Lexer, NumbersAreRangeCheckedWhereTheyAreConverted) {
+    EXPECT_EQ(Lexer("18446744073709551615").take_uint("n"), UINT64_MAX);
+    EXPECT_EQ(Lexer("0xFF").take_uint("n"), 255u);
+    EXPECT_THROW((void)Lexer("18446744073709551616").take_uint("n"), ParseError);
+    EXPECT_THROW((void)Lexer("9").take_uint("n", 8), ParseError);
+    EXPECT_THROW((void)Lexer("1.5").take_uint("n"), ParseError);
+    EXPECT_DOUBLE_EQ(Lexer("2.5").take_real("x"), 2.5);
+    EXPECT_THROW((void)Lexer("0x10").take_real("x"), ParseError);
+}
+
+TEST(Lexer, DurationsAreCheckedNanoseconds) {
+    EXPECT_EQ(Lexer("300us").take_duration(), 300'000);
+    EXPECT_EQ(Lexer("2 MS").take_duration(), 2'000'000);
+    EXPECT_EQ(Lexer("1.5s").take_duration(), 1'500'000'000);
+    EXPECT_EQ(Lexer("9223372036854775807ns").take_duration(), INT64_MAX);
+    for (const char* bad : {"9223372036854775807s", "99999999999999999999s", "10",
+                            "10 parsecs", "0x10ms", "ms"}) {
+        EXPECT_THROW((void)Lexer(bad).take_duration(), ParseError) << bad;
+    }
 }
 
 } // namespace

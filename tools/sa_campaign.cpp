@@ -86,7 +86,7 @@ bool load_campaign(const std::string& path, sa::campaign::CampaignSpec& spec) {
     }
     try {
         spec = sa::campaign::CampaignSpec::parse(text);
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::ParseError& error) {
         std::cerr << "sa_campaign: " << path << ":" << error.line() << ": "
                   << error.what() << '\n';
         return false;
@@ -179,7 +179,7 @@ int cmd_cell(const std::vector<std::string>& args) {
         const auto cell = sa::campaign::CellConfig::parse(text);
         std::cout << sa::campaign::run_cell(cell).json() << '\n';
         return 0;
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::ParseError& error) {
         std::cerr << "sa_campaign: cell line " << error.line() << ": "
                   << error.what() << '\n';
         return 2;
@@ -234,11 +234,16 @@ int cmd_replay(const std::vector<std::string>& args) {
                     std::cerr << "sa_campaign: cannot read " << path << '\n';
                     return 2;
                 }
-                entries.emplace_back(path,
-                                     sa::campaign::CorpusEntry::parse(text));
+                try {
+                    entries.emplace_back(path, sa::campaign::CorpusEntry::parse(text));
+                } catch (const sa::ParseError& error) {
+                    std::cerr << "sa_campaign: " << path << ":" << error.line() << ": "
+                              << error.what() << '\n';
+                    return 2;
+                }
             }
         }
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::ParseError& error) {
         std::cerr << "sa_campaign: " << error.what() << '\n';
         return 2;
     }
@@ -319,7 +324,7 @@ int cmd_run(const std::vector<std::string>& args) {
             for (const auto& [path, entry] : sa::campaign::load_corpus(corpus_dir)) {
                 options.known_signatures.push_back(entry.signature());
             }
-        } catch (const sa::campaign::CampaignParseError& error) {
+        } catch (const sa::ParseError& error) {
             std::cerr << "sa_campaign: " << error.what() << '\n';
             return 2;
         }
