@@ -11,7 +11,14 @@
 // chain first resolves a next hop toward the tail, per next-hop policy —
 // the "how long until the mesh is routable" number, reported as sim_ms.
 //
-// Timing is manual (UseManualTime): assembly excluded, run() wall time only.
+// BM_MediumFanout: the bare v2v::Medium, no mesh stacks. N endpoints at
+// 100 m spacing under a 250 m radio each broadcast once per iteration and
+// the deliveries are drained; every transmission reaches at most four
+// receivers, so with the medium's range index the wall time per
+// transmission stays flat in N.
+//
+// Timing is manual (UseManualTime) for the mesh rows: assembly excluded,
+// run() wall time only. The fan-out rows time whole iterations.
 
 #include <benchmark/benchmark.h>
 
@@ -127,5 +134,37 @@ BENCHMARK(BM_MeshRouteConvergence)
     ->Arg(2)  // prr
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_MediumFanout(benchmark::State& state) {
+    const int endpoints = static_cast<int>(state.range(0));
+    sim::Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(1), .range_m = 250.0});
+    std::vector<v2v::Frame> frames;
+    for (int i = 0; i < endpoints; ++i) {
+        medium.attach(stack_name(i), sim, [](const v2v::Frame&, double) {}, 100.0 * i);
+        frames.push_back(v2v::Medium::cam(stack_name(i), 100.0 * i, 20.0));
+    }
+    for (auto _ : state) {
+        for (const v2v::Frame& frame : frames) {
+            medium.transmit(frame);
+        }
+        sim.run_for(Duration::ms(2));
+    }
+    // Per-iteration counts: deterministic, whatever the iteration count.
+    const auto per_iteration = [](std::uint64_t total) {
+        return benchmark::Counter(static_cast<double>(total),
+                                  benchmark::Counter::kAvgIterations);
+    };
+    state.SetItemsProcessed(static_cast<std::int64_t>(medium.transmissions()));
+    state.counters["transmissions"] = per_iteration(medium.transmissions());
+    state.counters["deliveries"] = per_iteration(medium.deliveries());
+    state.counters["losses"] = per_iteration(medium.losses());
+}
+BENCHMARK(BM_MediumFanout)
+    ->ArgName("endpoints")
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace

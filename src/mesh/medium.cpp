@@ -1,6 +1,8 @@
 #include "mesh/medium.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
@@ -79,28 +81,62 @@ void Medium::require_quiescent(const char* operation) const {
                    "only between runs or from a script barrier");
 }
 
+// The index stays sorted by position; equal positions keep attach/move
+// order (transmit() re-sorts its window by name anyway).
+void Medium::index_insert(const Slot& slot) {
+    const auto at = std::upper_bound(
+        by_position_.begin(), by_position_.end(), slot.position_m,
+        [](double position, const Slot& other) { return position < other.position_m; });
+    by_position_.insert(at, slot);
+}
+
+void Medium::index_erase(const Endpoint* endpoint) {
+    auto it = std::lower_bound(
+        by_position_.begin(), by_position_.end(), endpoint->position_m,
+        [](const Slot& other, double position) { return other.position_m < position; });
+    while (it->endpoint != endpoint) {
+        ++it; // equal positions: find this endpoint's own slot
+    }
+    by_position_.erase(it);
+}
+
 void Medium::attach(const std::string& name, sim::Simulator& home,
                     Receiver receiver, double position_m) {
     require_quiescent("attach");
     SA_REQUIRE(static_cast<bool>(receiver), "receiver must be callable");
+    SA_REQUIRE(std::isfinite(position_m), "endpoint position must be finite");
     SA_REQUIRE(!endpoints_.contains(name), "duplicate medium endpoint: " + name);
     SA_REQUIRE(&home == &simulator_ || (simulator_.shard() != nullptr &&
                                         home.shard() == simulator_.shard()),
                "endpoint home must be the medium's simulator or a domain of "
                "the same sharded kernel");
-    endpoints_[name] = Endpoint{&home, std::move(receiver), position_m};
+    const auto it = endpoints_
+                        .emplace(name, Endpoint{&home, std::move(receiver),
+                                                position_m, next_id_++})
+                        .first;
+    index_insert(Slot{position_m, &it->first, &it->second});
+    live_.insert(it->second.id, &it->second);
 }
 
 void Medium::detach(const std::string& name) {
     require_quiescent("detach");
-    endpoints_.erase(name);
+    const auto it = endpoints_.find(name);
+    if (it == endpoints_.end()) {
+        return;
+    }
+    index_erase(&it->second);
+    live_.erase(it->second.id);
+    endpoints_.erase(it);
 }
 
 void Medium::move(const std::string& name, double position_m) {
     require_quiescent("move");
     auto it = endpoints_.find(name);
     SA_REQUIRE(it != endpoints_.end(), "unknown medium endpoint: " + name);
+    SA_REQUIRE(std::isfinite(position_m), "endpoint position must be finite");
+    index_erase(&it->second);
     it->second.position_m = position_m;
+    index_insert(Slot{position_m, &it->first, &it->second});
 }
 
 bool Medium::attached(const std::string& name) const {
@@ -186,30 +222,58 @@ void Medium::transmit(Frame frame) {
     }
     const Time deliver_at = context.now() + config_.latency;
     const double tx_position = tx->second.position_m;
-    for (const auto& [name, endpoint] : endpoints_) {
-        if (name == frame.transmitter) {
-            continue;
+
+    // Collect the receivers that draw: only the named hop of an addressed
+    // relay, else every other member inside the range window. The window is
+    // a prefilter with a little slack against rounding; loss_at() below
+    // decides on the exact distance. Members outside it are lost unvisited.
+    candidates_.clear();
+    if (!frame.next_hop.empty()) {
+        const auto hop = endpoints_.find(frame.next_hop);
+        if (hop != endpoints_.end() && hop != tx) {
+            candidates_.push_back(
+                Slot{hop->second.position_m, &hop->first, &hop->second});
         }
-        if (!frame.next_hop.empty() && name != frame.next_hop) {
-            continue; // addressed relay: only the named hop listens
+    } else {
+        const double range = config_.range_m;
+        const double reach = range > 0.0
+                                 ? range + 1e-9 * (range + std::abs(tx_position))
+                                 : std::numeric_limits<double>::infinity();
+        const auto first = std::lower_bound(
+            by_position_.begin(), by_position_.end(), tx_position - reach,
+            [](const Slot& slot, double position) { return slot.position_m < position; });
+        const auto last = std::upper_bound(
+            first, by_position_.end(), tx_position + reach,
+            [](double position, const Slot& slot) { return position < slot.position_m; });
+        for (auto it = first; it != last; ++it) {
+            if (it->endpoint != &tx->second) {
+                candidates_.push_back(*it);
+            }
         }
-        const double distance = std::abs(endpoint.position_m - tx_position);
+        // Post in name order, as a scan of the name-keyed map would: the
+        // order of same-time deliveries on one domain depends on it.
+        std::sort(candidates_.begin(), candidates_.end(),
+                  [](const Slot& a, const Slot& b) { return *a.name < *b.name; });
+        losses_ += endpoints_.size() - 1 - candidates_.size();
+    }
+
+    for (const Slot& candidate : candidates_) {
+        const double distance = std::abs(candidate.position_m - tx_position);
         const double p = loss_at(distance);
-        if (p >= 1.0 || (p > 0.0 && loss_draw(frame, name) < p)) {
+        if (p >= 1.0 || (p > 0.0 && loss_draw(frame, *candidate.name) < p)) {
             ++losses_;
             continue;
         }
         ++deliveries_;
         const double rssi = rssi_at(distance);
-        // Resolve the receiver at delivery time, not capture it: an endpoint
-        // that detached while the frame was in flight (quiescent contexts
-        // only) silently misses the frame instead of invoking a dangling
-        // callback.
-        sim::post(*endpoint.home, deliver_at,
-                  [this, receiver_name = name, frame, rssi] {
-                      const auto rx = endpoints_.find(receiver_name);
-                      if (rx != endpoints_.end()) {
-                          rx->second.receiver(frame, rssi);
+        // Resolve the receiver at delivery time by its attach id, not
+        // capture it: an endpoint that detached while the frame was in
+        // flight (quiescent contexts only) silently misses the frame, even
+        // if another endpoint has since attached under the same name.
+        sim::post(*candidate.endpoint->home, deliver_at,
+                  [this, id = candidate.endpoint->id, frame, rssi] {
+                      if (Endpoint* rx = live_.find(id)) {
+                          rx->receiver(frame, rssi);
                       }
                   });
     }

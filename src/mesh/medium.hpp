@@ -32,6 +32,14 @@
 // shared mutable state, reproducible from the seed, and byte-identical
 // regardless of how vehicles are partitioned onto domains — the property
 // the mesh determinism suite locks in.
+//
+// Range index. Beside the name-keyed map the medium keeps its endpoints in a
+// position-sorted vector, maintained incrementally by attach()/detach()/
+// move(). A broadcast binary-searches the window [tx - range, tx + range]
+// and visits only the endpoints inside it, so a transmission costs
+// O(log N + receivers in range). It posts them in name order (the map
+// order), which fixes the order of same-time deliveries on a domain.
+// Members outside the window are counted as losses without being visited.
 
 #include <cstdint>
 #include <functional>
@@ -40,6 +48,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 
 namespace sa::v2v {
 
@@ -109,10 +118,13 @@ public:
 
     /// Attach an endpoint: delivered frames execute on `home` (its vehicle's
     /// domain under sharding). `home` must be the medium's simulator or a
-    /// domain of the same sharded kernel. Quiescent contexts only.
+    /// domain of the same sharded kernel; `position_m` must be finite.
+    /// Quiescent contexts only.
     void attach(const std::string& name, sim::Simulator& home, Receiver receiver,
                 double position_m = 0.0);
-    /// Detach an endpoint. Quiescent contexts only.
+    /// Detach an endpoint. Frames still in flight to it are dropped, also
+    /// when an endpoint of the same name attaches before their delivery.
+    /// Quiescent contexts only.
     void detach(const std::string& name);
     /// Move an endpoint along the track. Quiescent contexts only (script
     /// barriers are the sanctioned way to move vehicles mid-run).
@@ -154,6 +166,14 @@ private:
         sim::Simulator* home;
         Receiver receiver;
         double position_m;
+        std::int64_t id; ///< per-attach identity that in-flight frames resolve
+    };
+
+    /// One entry of the position index (pointers into stable map nodes).
+    struct Slot {
+        double position_m;
+        const std::string* name;
+        Endpoint* endpoint;
     };
 
     /// Loud ContractViolation when called from inside a sharded window —
@@ -164,10 +184,16 @@ private:
     /// and the frame identity. Identical across domain counts by design.
     [[nodiscard]] double loss_draw(const Frame& frame,
                                    const std::string& receiver) const noexcept;
+    void index_insert(const Slot& slot);
+    void index_erase(const Endpoint* endpoint);
 
     sim::Simulator& simulator_;
     MediumConfig config_;
     std::map<std::string, Endpoint> endpoints_;
+    std::vector<Slot> by_position_;      ///< sorted by position_m
+    util::FlatPtrMap64<Endpoint*> live_; ///< attach id -> endpoint
+    std::int64_t next_id_ = 0;
+    std::vector<Slot> candidates_;       ///< transmit()'s receiver scratch
     // Order-free sums over every domain's transmissions.
     std::uint64_t transmissions_ = 0;
     std::uint64_t deliveries_ = 0;

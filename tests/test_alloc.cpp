@@ -17,6 +17,7 @@
 #include "can/bus.hpp"
 #include "can/controller.hpp"
 #include "can/virtual_controller.hpp"
+#include "mesh/medium.hpp"
 #include "monitor/manager.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -416,6 +417,39 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
     EXPECT_DOUBLE_EQ(manager.last_value("drive.speed"), 25.0);
     ASSERT_NE(manager.stats("drive.gap"), nullptr);
     EXPECT_EQ(manager.stats("drive.gap")->count(), 1'001u);
+}
+
+TEST(ZeroAllocPins, MediumBroadcastAllocatesOnlyDeliveredCopies) {
+    // 16 endpoints at 100 m spacing under a 250 m radio, plus one far away.
+    // The range window is a member scratch vector, so a transmission
+    // allocates nothing of its own: only each delivered copy's boxed
+    // delivery action (it carries the frame) reaches the heap.
+    Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(1), .range_m = 250.0});
+    for (int i = 0; i < 16; ++i) {
+        medium.attach("v" + std::to_string(i), sim, [](const v2v::Frame&, double) {},
+                      100.0 * i);
+    }
+    medium.attach("far", sim, [](const v2v::Frame&, double) {}, 1.0e6);
+    const v2v::Frame lonely = v2v::Medium::cam("far", 0.0, 0.0);
+    const v2v::Frame middle = v2v::Medium::cam("v8", 0.0, 0.0);
+    for (int warm = 0; warm < 2; ++warm) {
+        medium.transmit(lonely);
+        medium.transmit(middle);
+        sim.run_for(Duration::ms(2));
+    }
+    {
+        alloc_hook::CountScope scope;
+        medium.transmit(lonely);
+        EXPECT_EQ(scope.allocations(), 0u) << "out-of-range broadcast allocated";
+    }
+    const std::uint64_t before = medium.deliveries();
+    alloc_hook::CountScope scope;
+    medium.transmit(middle);
+    sim.run_for(Duration::ms(2)); // deliver and free every copy
+    const std::uint64_t copies = medium.deliveries() - before;
+    EXPECT_EQ(copies, 4u); // v6, v7, v9, v10
+    EXPECT_EQ(scope.allocations(), copies);
 }
 
 } // namespace

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mesh/mesh_stack.hpp"
@@ -69,6 +73,152 @@ TEST(Medium, AddressedRelayReachesOnlyTheNamedHop) {
     sim.run_until(Time(Duration::ms(10).count_ns()));
     EXPECT_EQ(b_rx, 1);
     EXPECT_EQ(c_rx, 0); // addressed to b only, even though c is in range
+}
+
+// --- range index: equivalence with a full scan of the membership -------------------
+
+/// One delivered copy: (delivery time, receiver, transmitter, seq).
+using DeliveryRecord = std::tuple<std::int64_t, std::string, std::string, std::uint32_t>;
+
+/// Drives one medium through seeded rounds of membership churn. Every round
+/// broadcasts once from every member at the same instant, so same-time
+/// delivery order is part of what is compared.
+struct IndexRig {
+    sim::Simulator sim;
+    v2v::Medium medium;
+    std::vector<DeliveryRecord> log;
+    std::mt19937_64 rng;
+    int next_name = 0;
+    std::uint32_t seq = 0;
+    std::uint64_t copies = 0; ///< broadcasts x (members - 1), summed
+
+    IndexRig(v2v::MediumConfig config, std::uint64_t seed)
+        : medium(sim, config), rng(seed) {
+        for (int i = 0; i < 40; ++i) {
+            attach_new();
+        }
+    }
+
+    /// Positions on a coarse grid (duplicates and pairs at exactly the range
+    /// are common) or anywhere on the track (rounding at the boundary).
+    double draw_position() {
+        if (rng() % 2 == 0) {
+            return 12.5 * static_cast<double>(rng() % 80);
+        }
+        return static_cast<double>(rng() % 1000000) / 1000.0 - 5.0;
+    }
+
+    void attach_new() {
+        const std::string name = "n" + std::to_string(next_name++);
+        medium.attach(
+            name, sim,
+            [this, name](const v2v::Frame& frame, double) {
+                log.emplace_back(sim.now().ns(), name, frame.transmitter, frame.seq);
+            },
+            draw_position());
+    }
+
+    /// Moves, detaches and attaches a few members (between runs).
+    void churn() {
+        const std::vector<std::string> members = medium.members();
+        for (const std::string& name : members) {
+            switch (rng() % 6) {
+            case 0: medium.move(name, draw_position()); break;
+            case 1: medium.detach(name); break;
+            default: break;
+            }
+        }
+        for (std::uint64_t k = rng() % 6; k > 0; --k) {
+            attach_new();
+        }
+    }
+
+    /// Broadcasts from every member; returns the oracle's delivery log for
+    /// the round, built from members(), position() and loss_at() alone.
+    std::vector<DeliveryRecord> broadcast_round() {
+        const std::vector<std::string> members = medium.members();
+        const std::int64_t at = (sim.now() + medium.config().latency).ns();
+        std::vector<DeliveryRecord> expected;
+        copies += members.size() * (members.size() - 1);
+        for (const std::string& tx : members) {
+            v2v::Frame frame = v2v::Medium::cam(tx, 0.0, 0.0);
+            frame.seq = seq++;
+            for (const std::string& rx : members) {
+                const double d = std::abs(medium.position(rx) - medium.position(tx));
+                if (rx != tx && medium.loss_at(d) < 1.0) {
+                    expected.emplace_back(at, rx, tx, frame.seq);
+                }
+            }
+            medium.transmit(frame);
+        }
+        sim.run_until(Time(sim.now().ns() + Duration::ms(5).count_ns()));
+        return expected;
+    }
+};
+
+TEST(Medium, RangeIndexMatchesFullScan) {
+    for (const double range : {0.0, 12.5, 100.0, 0.3, 250.0}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            IndexRig rig({.latency = Duration::ms(1), .range_m = range}, seed);
+            for (int round = 0; round < 12; ++round) {
+                rig.log.clear();
+                const std::vector<DeliveryRecord> expected = rig.broadcast_round();
+                ASSERT_EQ(rig.log, expected)
+                    << "range " << range << " seed " << seed << " round " << round;
+                rig.churn();
+            }
+            EXPECT_EQ(rig.medium.deliveries() + rig.medium.losses(), rig.copies);
+        }
+    }
+    // Under fading the draws decide, but every broadcast still accounts for
+    // every other member: transmissions x (members - 1) per round.
+    IndexRig rig({.loss_probability = 0.2,
+                  .latency = Duration::ms(1),
+                  .range_m = 100.0,
+                  .fading = v2v::Fading::Linear},
+                 17);
+    for (int round = 0; round < 12; ++round) {
+        (void)rig.broadcast_round();
+        rig.churn();
+    }
+    EXPECT_EQ(rig.medium.deliveries() + rig.medium.losses(), rig.copies);
+    EXPECT_GT(rig.medium.deliveries(), 0u);
+    EXPECT_GT(rig.medium.losses(), 0u);
+}
+
+TEST(Medium, InFlightFrameMissesADetachedEndpoint) {
+    sim::Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(10)});
+    int old_b = 0;
+    int new_b = 0;
+    int c_rx = 0;
+    medium.attach("a", sim, [](const v2v::Frame&, double) {});
+    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++old_b; });
+    medium.attach("c", sim, [&](const v2v::Frame&, double) { ++c_rx; });
+    medium.transmit(v2v::Medium::cam("a", 0.0, 0.0));
+    EXPECT_EQ(medium.deliveries(), 2u);
+
+    sim.run_until(Time(Duration::ms(5).count_ns())); // both copies in flight
+    medium.detach("b");
+    // A new endpoint under the same name is a different attachment: the
+    // frame addressed to the old one is not handed to it.
+    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++new_b; });
+    sim.run_until(Time(Duration::ms(20).count_ns()));
+    EXPECT_EQ(old_b, 0);
+    EXPECT_EQ(new_b, 0);
+    EXPECT_EQ(c_rx, 1);
+    // The counters are what transmit() counted; nothing is re-counted.
+    EXPECT_EQ(medium.transmissions(), 1u);
+    EXPECT_EQ(medium.deliveries(), 2u);
+    EXPECT_EQ(medium.losses(), 0u);
+
+    // Frames sent after the re-attach reach the new endpoint.
+    v2v::Frame again = v2v::Medium::cam("a", 0.0, 0.0);
+    again.seq = 1;
+    medium.transmit(again);
+    sim.run_until(Time(Duration::ms(40).count_ns()));
+    EXPECT_EQ(new_b, 1);
+    EXPECT_EQ(c_rx, 2);
 }
 
 // --- seeded loss reproducibility ----------------------------------------------------
