@@ -1,54 +1,25 @@
 #!/usr/bin/env python3
-"""Run every Google Benchmark binary in a directory and aggregate the results.
+"""Run every Google Benchmark binary in a directory and gate its counters.
 
-Each binary is invoked with --benchmark_format=json; the per-binary reports
-are merged into a single JSON document (default: BENCH_baseline.json at the
-repo root) whose "benchmarks" entries carry a "binary" field naming their
-source binary. This file seeds the perf trajectory: later PRs optimising hot
-paths (event queue, CAN bus, ...) diff their numbers against it.
+Each binary runs once with --benchmark_format=json. A row is one benchmark
+of one binary, keyed by (binary, name). Its counters are every JSON field
+that is not one of Google Benchmark's own (GB_FIELDS: times, iterations,
+rates, ...). Counters are simulated-time results, work counts and
+allocation counts; they do not depend on the host, the build type or the
+iteration count, so they are compared exactly. Wall time is never compared
+here: it only means something against a same-host A/B run (perfbench).
 
-Modes shared by CI and the local workflow:
-  --quick            reduced measurement time per benchmark (noisier, ~5x
-                     faster) — what the CI bench-gate runs on every PR
-  --diff BASELINE    after aggregating, compare wall times (real_time)
-                     entry-by-entry against BASELINE and exit non-zero when
-                     any entry regressed beyond --tolerance (default 0.25,
-                     i.e. +25%). Entries new in this run are reported but do
-                     not fail the gate; baseline entries MISSING from this
-                     run DO fail it (a crashed or removed bench binary must
-                     not silently shrink coverage) unless --allow-missing is
-                     passed for a deliberate bench removal. With
-                     --quick, flagged binaries are re-run with 3 repetitions
-                     at the full measurement time and each entry is judged on
-                     the best observation — wall-time noise (preemption, VM
-                     steal) only ever inflates, so only real regressions stay
-                     slow in every sample.
-  --report-allocs    after aggregating, print every benchmark entry that
-                     carries allocation-harness counters (counter names
-                     containing "alloc" or "recycle", e.g. the event queue's
-                     steady_allocs_per_wave / bucket_recycle_hit_rate) as a
-                     table — a quick eyeball of pool health without opening
-                     the JSON. Purely informational; the hard zero-allocation
-                     pins live in tests/test_alloc.cpp.
-  --update-baseline BASELINE
-                     merge entries that are new in this run (key: binary +
-                     benchmark name) into BASELINE. Existing baseline rows
-                     keep their committed timings untouched — only missing
-                     rows are added — and the merged "benchmarks" list is
-                     rewritten sorted by (binary, name) with sorted JSON
-                     keys, so the result is deterministic regardless of run
-                     order: adding a bench satellite no longer means
-                     hand-editing BENCH_baseline.json.
+  --out REPORT          write the full merged report, times included
+  --diff BASELINE       compare every counter of every row with BASELINE;
+                        exit 2 on a changed value or a missing or new row or
+                        counter, printing binary, row, counter, old and new
+  --update-baseline B   rewrite B from this run: rows sorted, counters only
 
-Failure behaviour: if ANY binary fails (non-zero exit, timeout, bad JSON)
-the script exits non-zero and writes nothing — a committed baseline must
-never be clobbered by a partial run. The merged report records the git SHA
-(and a "-dirty" suffix when the worktree has uncommitted changes) under
-"git_sha" so every baseline is attributable to a revision.
+If any binary fails (non-zero exit, timeout, bad JSON, a row that reports
+an error) the script exits 1 and writes nothing.
 
-Note: the pinned Google Benchmark (1.7.x) expects --benchmark_min_time as a
-plain double in seconds — suffixed forms like "0.01s" are a later addition
-and are rejected, so keep the min-time values bare numbers.
+Google Benchmark 1.7.x takes --benchmark_min_time as a plain double in
+seconds; suffixed forms like "0.01s" are rejected.
 """
 
 import argparse
@@ -58,40 +29,26 @@ import stat
 import subprocess
 import sys
 
-MIN_TIME = "0.01"        # seconds, plain double — see module docstring
-QUICK_MIN_TIME = "0.002" # --quick: noisier, ~5x faster
+MIN_TIME = "0.01"  # seconds, plain double — see module docstring
+
+GB_FIELDS = frozenset({
+    "name", "run_name", "run_type", "family_index", "per_family_instance_index",
+    "repetitions", "repetition_index", "threads", "iterations", "real_time",
+    "cpu_time", "time_unit", "items_per_second", "bytes_per_second", "label",
+    "aggregate_name", "aggregate_unit", "error_occurred", "error_message",
+})
 
 
 def is_benchmark_binary(path):
-    if not os.path.isfile(path):
-        return False
-    mode = os.stat(path).st_mode
-    if not (mode & stat.S_IXUSR):
+    if not os.path.isfile(path) or not os.stat(path).st_mode & stat.S_IXUSR:
         return False
     # Skip build-system droppings like CMake scripts.
     return not path.endswith((".py", ".sh", ".cmake", ".txt", ".json"))
 
 
-def git_sha():
-    """Current revision ("<sha>[-dirty]"), or None outside a git checkout."""
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    try:
-        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo_root,
-                             capture_output=True, text=True, timeout=30)
-        if sha.returncode != 0:
-            return None
-        dirty = subprocess.run(["git", "status", "--porcelain"], cwd=repo_root,
-                               capture_output=True, text=True, timeout=30)
-        suffix = "-dirty" if dirty.returncode == 0 and dirty.stdout.strip() else ""
-        return sha.stdout.strip() + suffix
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-
-
-def run_one(path, min_time, repetitions=None):
-    cmd = [path, "--benchmark_format=json", f"--benchmark_min_time={min_time}"]
-    if repetitions:
-        cmd.append(f"--benchmark_repetitions={repetitions}")
+def run_one(path):
+    """One binary's JSON report, or None (reason on stderr) if it failed."""
+    cmd = [path, "--benchmark_format=json", f"--benchmark_min_time={MIN_TIME}"]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=1800)
     except subprocess.TimeoutExpired:
@@ -101,301 +58,120 @@ def run_one(path, min_time, repetitions=None):
         print(f"FAILED: {' '.join(cmd)}\n{proc.stderr}", file=sys.stderr)
         return None
     try:
-        return json.loads(proc.stdout)
+        report = json.loads(proc.stdout)
     except json.JSONDecodeError as err:
         print(f"BAD JSON from {' '.join(cmd)}: {err}", file=sys.stderr)
         return None
+    errors = [e for e in report.get("benchmarks", []) if e.get("error_occurred")]
+    for entry in errors:
+        print(f"ERROR in {path}: {entry['name']}: {entry.get('error_message')}",
+              file=sys.stderr)
+    return None if errors else report
 
 
-def entry_key(entry):
-    """Stable identity of one benchmark row across runs."""
-    return (entry.get("binary", ""), entry.get("name", ""))
+def counter_rows(entries):
+    """{(binary, name): {counter: value}} of the merged report's entries."""
+    return {(e["binary"], e["name"]):
+            {k: v for k, v in e.items() if k not in GB_FIELDS and k != "binary"}
+            for e in entries}
 
 
-def best_iterations(report, binary):
-    """Per-key minimum-wall-time iteration entries of one binary's report.
-
-    With --benchmark_repetitions each benchmark appears several times (plus
-    aggregate rows, which are dropped); the minimum is the robust wall-time
-    estimator — noise only ever inflates it.
-    """
-    best = {}
-    for entry in report.get("benchmarks", []):
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        entry["binary"] = binary
-        key = entry_key(entry)
-        kept = best.get(key)
-        if kept is None or entry.get("real_time", 0.0) < kept.get("real_time", 0.0):
-            best[key] = entry
-    return [best[key] for key in sorted(best)]
+def load_baseline(path):
+    with open(path) as fh:
+        return {(row["binary"], row["name"]): row["counters"]
+                for row in json.load(fh)["benchmarks"]}
 
 
-def update_baseline(merged, baseline_path):
-    """Merge entries missing from the baseline into it, deterministically.
-
-    Existing rows keep their committed timings (a quick local run must never
-    silently replace reference numbers); only keys absent from the baseline
-    are copied in from `merged`. The result is written with the benchmark
-    list sorted by (binary, name) and JSON keys sorted, so two machines
-    merging the same new bench produce byte-identical baselines.
-    """
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    existing = {entry_key(e) for e in baseline.get("benchmarks", [])}
-    added = []
-    for entry in merged["benchmarks"]:
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        if entry_key(entry) not in existing:
-            baseline.setdefault("benchmarks", []).append(entry)
-            added.append(entry_key(entry))
-    baseline["benchmarks"].sort(key=entry_key)
-    tmp = baseline_path + ".tmp"
+def write_json(path, doc):
+    tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(baseline, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, baseline_path)
-    if added:
-        print(f"\nmerged {len(added)} new entr{'y' if len(added) == 1 else 'ies'} "
-              f"into {baseline_path}:")
-        for binary, name in sorted(added):
-            print(f"  + {binary}:{name}")
-    else:
-        print(f"\nno new entries for {baseline_path} (rewritten sorted)")
+    os.replace(tmp, path)
 
 
-def report_allocs(merged):
-    """Print allocation-harness counters of the aggregated report.
-
-    A counter belongs to the harness when its name mentions "alloc" or
-    "recycle" (the event queue's steady_allocs_per_wave and the bucket
-    pool's recycle/created/acquire counters use both stems). Entries without
-    such counters are skipped; benches opt in simply by exporting them.
-    """
-    rows = []
-    for entry in merged["benchmarks"]:
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        counters = {
-            key: value
-            for key, value in entry.items()
-            if isinstance(value, (int, float))
-            and ("alloc" in key.lower() or "recycle" in key.lower())
-        }
-        if counters:
-            rows.append((entry.get("binary", ""), entry.get("name", ""), counters))
-    print("\nallocation-harness counters:")
-    if not rows:
-        print("  (no benchmark exported alloc/recycle counters)")
-        return
-    for binary, name, counters in sorted(rows, key=lambda r: (r[0], r[1])):
-        rendered = ", ".join(f"{key}={value:g}"
-                             for key, value in sorted(counters.items()))
-        print(f"  {binary}:{name}: {rendered}")
-
-
-def diff_against_baseline(merged, baseline_path, tolerance, allow_missing):
-    """Compare wall times against a baseline report.
-
-    Returns (regressed_keys, missing_keys): entries slower than baseline by
-    more than `tolerance` (as a fraction), and baseline entries absent from
-    this run. Missing entries mean a bench binary crashed mid-run, dropped a
-    benchmark, or was removed from the build — all of which silently shrink
-    the gate's coverage, so they FAIL the gate unless `allow_missing` is
-    set. Prints a human-readable table of regressions, improvements beyond
-    the tolerance, new entries and missing entries.
-    """
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    base = {entry_key(e): e for e in baseline.get("benchmarks", [])
-            if e.get("run_type", "iteration") == "iteration"}
-    current = {entry_key(e): e for e in merged["benchmarks"]
-               if e.get("run_type", "iteration") == "iteration"}
-
-    regressions, improvements, new = [], [], []
-    for key, entry in sorted(current.items()):
-        if key not in base:
-            new.append(key)
-            continue
-        before = base[key].get("real_time", 0.0)
-        after = entry.get("real_time", 0.0)
-        if before <= 0.0:
-            continue
-        ratio = after / before
-        if ratio > 1.0 + tolerance:
-            regressions.append((key, before, after, ratio))
-        elif ratio < 1.0 - tolerance:
-            improvements.append((key, before, after, ratio))
-    missing = sorted(k for k in base if k not in current)
-
-    def show(rows, label, sign):
-        if rows:
-            print(f"\n{label}:")
-            for (binary, name), before, after, ratio in rows:
-                print(f"  {sign} {binary}:{name}: {before:.1f} -> {after:.1f} "
-                      f"{base[(binary, name)].get('time_unit', 'ns')} "
-                      f"({(ratio - 1.0) * 100.0:+.1f}%)")
-
-    show(regressions, f"REGRESSIONS (> +{tolerance * 100:.0f}% wall time)", "!!")
-    show(improvements, f"improvements (< -{tolerance * 100:.0f}% wall time)", "ok")
-    if new:
-        print(f"\nnew entries (not in {os.path.basename(baseline_path)}):")
-        for binary, name in new:
-            print(f"  + {binary}:{name}")
-    if missing:
-        label = ("WARNING (--allow-missing)" if allow_missing
-                 else "GATE FAILURE")
-        print(f"\n{label}: entries in the baseline but not in this run "
-              f"(crashed bench binary? removed bench? update the baseline "
-              f"deliberately):", file=sys.stderr)
-        for binary, name in missing:
-            print(f"  - {binary}:{name}", file=sys.stderr)
-    print(f"\ndiff vs {baseline_path}: {len(regressions)} regression(s), "
-          f"{len(improvements)} improvement(s), {len(new)} new, "
-          f"{len(missing)} missing "
-          f"({len(current)} entries compared at ±{tolerance * 100:.0f}%)")
-    return [key for key, *_ in regressions], missing
+def diff(base, rows):
+    """Lines naming every difference between the baseline and this run."""
+    out = []
+    for key in sorted(base.keys() | rows.keys()):
+        row = "{}:{}".format(*key)
+        if key not in rows:
+            out.append(f"missing row {row}")
+        elif key not in base:
+            out.append(f"new row {row}")
+        else:
+            old, new = base[key], rows[key]
+            for name in sorted(old.keys() | new.keys()):
+                if name not in new:
+                    out.append(f"missing counter {row} {name} (was {old[name]!r})")
+                elif name not in old:
+                    out.append(f"new counter {row} {name} = {new[name]!r}")
+                elif old[name] != new[name]:
+                    out.append(f"changed {row} {name}: "
+                               f"{old[name]!r} -> {new[name]!r}")
+    return out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bin-dir", required=True,
                         help="directory holding the benchmark binaries")
-    parser.add_argument("--out", required=True,
-                        help="path of the aggregated JSON report")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"reduced measurement time per benchmark "
-                             f"(min_time {QUICK_MIN_TIME}s instead of "
-                             f"{MIN_TIME}s)")
-    parser.add_argument("--report-allocs", action="store_true",
-                        help="print allocation-harness counters (names "
-                             "containing alloc/recycle) of every benchmark "
-                             "entry after aggregating")
+    parser.add_argument("--out", help="write the full merged report here")
     parser.add_argument("--diff", metavar="BASELINE",
-                        help="after running, diff wall times against this "
-                             "baseline JSON and exit non-zero on regression")
+                        help="compare every counter exactly against BASELINE")
     parser.add_argument("--update-baseline", metavar="BASELINE",
-                        help="merge entries new in this run into BASELINE "
-                             "(existing rows untouched; output sorted and "
-                             "therefore deterministic)")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed wall-time regression as a fraction "
-                             "(default 0.25 = +25%%)")
-    parser.add_argument("--allow-missing", action="store_true",
-                        help="with --diff: demote baseline entries missing "
-                             "from this run to a warning (default: they fail "
-                             "the gate, because a crashed or removed bench "
-                             "binary silently shrinks gate coverage)")
+                        help="rewrite BASELINE from this run's counters")
     args = parser.parse_args()
 
     if not os.path.isdir(args.bin_dir):
         print(f"--bin-dir {args.bin_dir} is not a directory", file=sys.stderr)
         return 1
+    if args.diff and not os.path.isfile(args.diff):
+        print(f"--diff baseline {args.diff} not found", file=sys.stderr)
+        return 1
     binaries = sorted(
-        os.path.join(args.bin_dir, name)
-        for name in os.listdir(args.bin_dir)
-        if is_benchmark_binary(os.path.join(args.bin_dir, name))
-    )
+        os.path.join(args.bin_dir, name) for name in os.listdir(args.bin_dir)
+        if is_benchmark_binary(os.path.join(args.bin_dir, name)))
     if not binaries:
         print(f"no benchmark binaries found in {args.bin_dir}", file=sys.stderr)
         return 1
 
-    min_time = QUICK_MIN_TIME if args.quick else MIN_TIME
-    merged = {"context": None, "git_sha": git_sha(), "benchmarks": []}
+    merged = {"context": None, "benchmarks": []}
     failed = []
     for path in binaries:
         name = os.path.basename(path)
         print(f"running {name} ...", flush=True)
-        report = run_one(path, min_time)
+        report = run_one(path)
         if report is None:
             failed.append(name)
             continue
-        if merged["context"] is None:
-            merged["context"] = report.get("context")
+        merged["context"] = merged["context"] or report.get("context")
         for entry in report.get("benchmarks", []):
-            entry["binary"] = name
-            merged["benchmarks"].append(entry)
-
+            merged["benchmarks"].append(dict(entry, binary=name))
     if failed:
         # Never clobber a committed baseline with a partial run.
         print(f"{len(failed)}/{len(binaries)} binaries failed "
-              f"({', '.join(failed)}) — not writing {args.out}", file=sys.stderr)
+              f"({', '.join(failed)}) — writing nothing", file=sys.stderr)
         return 1
+    rows = counter_rows(merged["benchmarks"])
+    print(f"{len(rows)} rows, {sum(map(len, rows.values()))} counters "
+          f"from {len(binaries)} binaries")
 
-    if not merged["benchmarks"]:
-        print(f"no benchmark entries produced — not writing {args.out}",
-              file=sys.stderr)
-        return 1
-
-    tmp_out = args.out + ".tmp"
-    with open(tmp_out, "w") as fh:
-        json.dump(merged, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp_out, args.out)
-    print(f"wrote {len(merged['benchmarks'])} benchmark entries from "
-          f"{len(binaries)}/{len(binaries)} binaries to {args.out}")
-
-    if args.report_allocs:
-        report_allocs(merged)
-
+    differences = diff(load_baseline(args.diff), rows) if args.diff else []
+    if args.out:
+        write_json(args.out, merged)
     if args.update_baseline:
-        if not os.path.isfile(args.update_baseline):
-            print(f"--update-baseline {args.update_baseline} not found",
-                  file=sys.stderr)
-            return 1
-        update_baseline(merged, args.update_baseline)
-
+        write_json(args.update_baseline, {"benchmarks": [
+            {"binary": binary, "name": name, "counters": rows[(binary, name)]}
+            for binary, name in sorted(rows)]})
+        print(f"wrote {args.update_baseline}")
+    if differences:
+        print("\n".join(differences))
+        print(f"bench gate FAILED: {len(differences)} difference(s) against "
+              f"{args.diff}", file=sys.stderr)
+        return 2
     if args.diff:
-        if not os.path.isfile(args.diff):
-            print(f"--diff baseline {args.diff} not found", file=sys.stderr)
-            return 1
-        regressed, missing = diff_against_baseline(merged, args.diff,
-                                                   args.tolerance,
-                                                   args.allow_missing)
-        if regressed and args.quick:
-            # A quick pass is noisy: confirm the flagged binaries with three
-            # repetitions at the full measurement time and judge each entry
-            # on the best of all observations (quick + 3 reps). Noise —
-            # scheduler preemption, VM steal time — only ever inflates wall
-            # time, so a real regression is the only thing that stays slow
-            # in every sample.
-            confirm = sorted({binary for binary, _ in regressed})
-            print(f"\nconfirming at full measurement time (x3): "
-                  f"{', '.join(confirm)}")
-            quick_times = {entry_key(e): e.get("real_time")
-                           for e in merged["benchmarks"]
-                           if e.get("binary") in set(confirm)}
-            for name in confirm:
-                report = run_one(os.path.join(args.bin_dir, name), MIN_TIME,
-                                 repetitions=3)
-                if report is None:
-                    return 1
-                merged["benchmarks"] = [e for e in merged["benchmarks"]
-                                        if e.get("binary") != name]
-                for entry in best_iterations(report, name):
-                    quick = quick_times.get(entry_key(entry))
-                    if quick and quick < entry.get("real_time", 0.0):
-                        entry = dict(entry, real_time=quick)
-                    merged["benchmarks"].append(entry)
-            with open(tmp_out, "w") as fh:
-                json.dump(merged, fh, indent=2)
-                fh.write("\n")
-            os.replace(tmp_out, args.out)
-            regressed, missing = diff_against_baseline(merged, args.diff,
-                                                       args.tolerance,
-                                                       args.allow_missing)
-        if regressed or (missing and not args.allow_missing):
-            causes = []
-            if regressed:
-                causes.append(f"{len(regressed)} regression(s)")
-            if missing and not args.allow_missing:
-                causes.append(f"{len(missing)} baseline entr"
-                              f"{'y' if len(missing) == 1 else 'ies'} "
-                              f"missing from this run")
-            print(f"\nbench gate FAILED: {', '.join(causes)}",
-                  file=sys.stderr)
-            return 2
+        print(f"bench gate passed: every counter equals {args.diff}")
     return 0
 
 

@@ -8,9 +8,10 @@
 //    the dense-cohort case produced by periodic monitors and batched CAN
 //    windows. The bucketed queue amortises this to O(1) per event; the
 //    comparator-heap reference (the pre-batching design, reproduced below)
-//    pays O(log n) per event plus a pool scan. The `speedup_vs_heap` counter
-//    on the 10k run is the acceptance number for the batching rework (>= 2).
-//  - BM_HeapReferenceSameTimestampPops: that reference implementation.
+//    pays O(log n) per event plus a pool scan.
+//  - BM_HeapReferenceSameTimestampPops: that reference implementation. The
+//    batching rework's speedup is the `real_time` of BM_SameTimestampPops/10000
+//    against BM_HeapReferenceSameTimestampPops/10000 in the same run.
 //  - BM_RunUntilDrain: Simulator::run_until() over dense timestamp
 //    cohorts.
 //  - BM_CancelHeavy: schedule/cancel churn (the rte scheduler's
@@ -23,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -37,10 +37,8 @@ using namespace sa::sim;
 
 namespace {
 
-constexpr int kAcceptanceN = 10'000; ///< the "10k same-timestamp pops" run
-
 /// The pre-batching EventQueue design, kept here as an in-bench reference so
-/// `speedup_vs_heap` is measurable in a single run: a std::priority_queue of
+/// the speedup is measurable in a single run: a std::priority_queue of
 /// heap-allocated entries ordered by (time, seq), with lazily reaped
 /// tombstones and a retained-pool scan on pop.
 class HeapReferenceQueue {
@@ -93,29 +91,6 @@ private:
     std::uint64_t next_seq_ = 1;
 };
 
-template <typename Queue>
-double same_timestamp_ns_per_event(int n, int iters) {
-    // Measured inline (not via state timing) so both series share one
-    // methodology and the speedup counter is a clean ratio.
-    std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int it = 0; it < iters; ++it) {
-        Queue q;
-        for (int i = 0; i < n; ++i) {
-            q.push(Time(1'000), [&sink] { ++sink; });
-        }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
-    }
-    benchmark::DoNotOptimize(sink);
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    return static_cast<double>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-           (static_cast<double>(n) * iters);
-}
-
 void BM_SameTimestampPops(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
@@ -131,15 +106,6 @@ void BM_SameTimestampPops(benchmark::State& state) {
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * n);
-    if (n == kAcceptanceN) {
-        // Acceptance counter: bucketed queue vs the comparator-heap design
-        // on the same 10k same-timestamp workload.
-        const double bucketed = same_timestamp_ns_per_event<EventQueue>(n, 20);
-        const double heap = same_timestamp_ns_per_event<HeapReferenceQueue>(n, 20);
-        state.counters["ns_per_event"] = bucketed;
-        state.counters["heap_ns_per_event"] = heap;
-        state.counters["speedup_vs_heap"] = heap / bucketed;
-    }
 }
 BENCHMARK(BM_SameTimestampPops)->Arg(100)->Arg(1'000)->Arg(10'000);
 
@@ -241,15 +207,15 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 16 * 64);
-    state.counters["buckets_created"] = static_cast<double>(q.buckets_created());
-    state.counters["bucket_acquires"] = static_cast<double>(q.bucket_acquires());
-    state.counters["bucket_recycle_hit_rate"] = q.bucket_recycle_hit_rate();
     if (q.bucket_recycle_hit_rate() < 0.9) {
         state.SkipWithError("bucket pool recycle hit rate below 0.9");
     }
-    // Harness-sourced steady-state allocation count: one more wave on the
-    // warm queue, counted by the operator-new interposition. Surfaced by
-    // `run_all.py --report-allocs`; the hard zero pin lives in test_alloc.
+    // Untimed probe: one more wave on the warm queue. Unlike the queue's
+    // running totals, its figures do not depend on the iteration count. The
+    // allocations are counted by the operator-new interposition; the hard
+    // zero pin lives in test_alloc.
+    const std::uint64_t acquires_before = q.bucket_acquires();
+    const std::size_t created_before = q.buckets_created();
     {
         sa::util::alloc_hook::CountScope scope;
         for (int i = 0; i < 64; ++i) {
@@ -262,6 +228,11 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
         state.counters["steady_allocs_per_wave"] =
             static_cast<double>(scope.allocations());
     }
+    state.counters["buckets_created"] = static_cast<double>(q.buckets_created());
+    state.counters["wave_bucket_acquires"] =
+        static_cast<double>(q.bucket_acquires() - acquires_before);
+    state.counters["wave_buckets_created"] =
+        static_cast<double>(q.buckets_created() - created_before);
 }
 BENCHMARK(BM_BucketRecycleWaves);
 

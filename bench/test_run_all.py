@@ -1,16 +1,9 @@
 #!/usr/bin/env python3
-"""Regression tests for the run_all.py bench gate.
+"""Regression tests for the run_all.py counter gate.
 
 These run as a plain ctest (label `bench`) and need neither Google Benchmark
 nor any real bench binary: fake "benchmark binaries" are tiny shell scripts
-that print canned --benchmark_format=json output. What is under test is the
-gate logic itself:
-
-  * a bench binary that crashes mid-run fails the run (exit 1, no report
-    written) instead of silently shrinking the diff,
-  * baseline entries missing from a run fail the --diff gate (exit 2)
-    unless --allow-missing is passed,
-  * regressions beyond --tolerance fail the gate, matching runs pass.
+that print canned --benchmark_format=json output.
 """
 
 import json
@@ -24,15 +17,10 @@ import unittest
 RUN_ALL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "run_all.py")
 
 
-def bench_json(entries):
-    return json.dumps({
-        "context": {"host_name": "test"},
-        "benchmarks": [
-            {"name": name, "run_type": "iteration", "real_time": real_time,
-             "time_unit": "ns"}
-            for name, real_time in entries
-        ],
-    })
+def row(name, real_time=100.0, iterations=1000, **counters):
+    return dict(name=name, run_name=name, run_type="iteration",
+                iterations=iterations, real_time=real_time,
+                cpu_time=real_time, time_unit="ns", **counters)
 
 
 class RunAllGateTest(unittest.TestCase):
@@ -41,105 +29,116 @@ class RunAllGateTest(unittest.TestCase):
         self.addCleanup(shutil.rmtree, self.tmp, ignore_errors=True)
         self.bin_dir = os.path.join(self.tmp, "bin")
         os.mkdir(self.bin_dir)
+        self.baseline = os.path.join(self.tmp, "baseline.json")
 
-    def fake_binary(self, name, stdout_json=None, exit_code=0):
+    def fake_binary(self, name, rows=(), exit_code=0):
         """A shell script that stands in for a Google Benchmark binary."""
+        report = json.dumps({"context": {"host_name": "test"},
+                             "benchmarks": list(rows)})
         path = os.path.join(self.bin_dir, name)
-        body = "#!/bin/sh\n"
-        if stdout_json is not None:
-            body += f"cat <<'EOF'\n{stdout_json}\nEOF\n"
-        body += f"exit {exit_code}\n"
         with open(path, "w") as fh:
-            fh.write(body)
+            fh.write(f"#!/bin/sh\ncat <<'EOF'\n{report}\nEOF\nexit {exit_code}\n")
         os.chmod(path, 0o755)
-        return path
 
-    def baseline(self, entries):
-        """entries: list of (binary, name, real_time)."""
-        path = os.path.join(self.tmp, "baseline.json")
-        with open(path, "w") as fh:
-            json.dump({"benchmarks": [
-                {"binary": binary, "name": name, "run_type": "iteration",
-                 "real_time": real_time, "time_unit": "ns"}
-                for binary, name, real_time in entries
-            ]}, fh)
-        return path
+    def run_all(self, *args):
+        proc = subprocess.run([sys.executable, RUN_ALL, "--bin-dir",
+                               self.bin_dir, *args],
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout + proc.stderr
 
-    def run_gate(self, *extra):
-        out = os.path.join(self.tmp, "report.json")
-        proc = subprocess.run(
-            [sys.executable, RUN_ALL, "--bin-dir", self.bin_dir,
-             "--out", out, *extra],
-            capture_output=True, text=True, timeout=120)
-        return proc, out
+    def record(self, rows):
+        """Write the baseline from one fake binary `bench_a` with `rows`."""
+        self.fake_binary("bench_a", rows)
+        code, out = self.run_all("--update-baseline", self.baseline)
+        self.assertEqual(code, 0, out)
+
+    def gate(self, rows):
+        self.fake_binary("bench_a", rows)
+        return self.run_all("--diff", self.baseline)
 
     def test_matching_run_passes(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 100.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0)])
-        proc, out = self.run_gate("--diff", base)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertTrue(os.path.isfile(out))
+        self.record([row("bm_alpha", events=5938.0, rt_us=7.25)])
+        code, out = self.gate([row("bm_alpha", events=5938.0, rt_us=7.25)])
+        self.assertEqual(code, 0, out)
 
-    def test_crashing_binary_fails_run_and_writes_nothing(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 100.0)]))
-        self.fake_binary("bench_b", exit_code=3)
-        base = self.baseline([("bench_a", "bm_alpha", 100.0)])
-        proc, out = self.run_gate("--diff", base)
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertIn("bench_b", proc.stderr)
-        self.assertFalse(os.path.exists(out),
-                         "a partial run must not write the report")
+    def test_times_and_iterations_are_never_compared(self):
+        self.record([row("bm_alpha", events=1.0)])
+        code, out = self.gate([row("bm_alpha", real_time=9e9, iterations=3,
+                                   items_per_second=1.0, events=1.0)])
+        self.assertEqual(code, 0, out)
 
-    def test_missing_baseline_entry_fails_gate(self):
-        # bench_a still runs fine but no longer emits bm_beta, and bench_gone
-        # is not in the bin dir at all — both shrink gate coverage.
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 100.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0),
-                              ("bench_a", "bm_beta", 50.0),
-                              ("bench_gone", "bm_gamma", 10.0)])
-        proc, _ = self.run_gate("--diff", base)
-        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
-        self.assertIn("GATE FAILURE", proc.stderr)
-        self.assertIn("bench gate FAILED", proc.stderr)
-        self.assertIn("2 baseline entries missing", proc.stderr)
+    def test_changed_counter_fails_and_is_named(self):
+        self.record([row("bm_alpha", events=5938.0, windows=151.0)])
+        code, out = self.gate([row("bm_alpha", events=5939.0, windows=151.0)])
+        self.assertEqual(code, 2, out)
+        self.assertIn("changed bench_a:bm_alpha events: 5938.0 -> 5939.0", out)
+        self.assertNotIn("windows", out)
 
-    def test_allow_missing_demotes_to_warning(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 100.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0),
-                              ("bench_gone", "bm_gamma", 10.0)])
-        proc, _ = self.run_gate("--diff", base, "--allow-missing")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("WARNING (--allow-missing)", proc.stderr)
+    def test_missing_row_fails(self):
+        self.record([row("bm_alpha", events=1.0), row("bm_beta", events=2.0)])
+        code, out = self.gate([row("bm_alpha", events=1.0)])
+        self.assertEqual(code, 2, out)
+        self.assertIn("missing row bench_a:bm_beta", out)
 
-    def test_regression_fails_gate(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 200.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0)])
-        proc, _ = self.run_gate("--diff", base, "--tolerance", "0.25")
-        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
-        self.assertIn("REGRESSIONS", proc.stdout)
-        self.assertIn("bench gate FAILED", proc.stderr)
+    def test_new_row_fails(self):
+        self.record([row("bm_alpha", events=1.0)])
+        code, out = self.gate([row("bm_alpha", events=1.0), row("bm_new")])
+        self.assertEqual(code, 2, out)
+        self.assertIn("new row bench_a:bm_new", out)
 
-    def test_new_entries_do_not_fail_gate(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 100.0),
-                                                ("bm_new", 42.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0)])
-        proc, _ = self.run_gate("--diff", base)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("new entries", proc.stdout)
+    def test_new_counter_fails(self):
+        self.record([row("bm_alpha", events=1.0)])
+        code, out = self.gate([row("bm_alpha", events=1.0, windows=0.0)])
+        self.assertEqual(code, 2, out)
+        self.assertIn("new counter bench_a:bm_alpha windows = 0.0", out)
 
-    def test_update_baseline_merges_only_new_keys(self):
-        self.fake_binary("bench_a", bench_json([("bm_alpha", 999.0),
-                                                ("bm_new", 42.0)]))
-        base = self.baseline([("bench_a", "bm_alpha", 100.0)])
-        proc, _ = self.run_gate("--update-baseline", base)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        with open(base) as fh:
-            merged = json.load(fh)
-        rows = {(e["binary"], e["name"]): e["real_time"]
-                for e in merged["benchmarks"]}
-        self.assertEqual(rows[("bench_a", "bm_alpha")], 100.0,
-                         "existing baseline timings must stay untouched")
-        self.assertEqual(rows[("bench_a", "bm_new")], 42.0)
+    def test_missing_counter_fails(self):
+        self.record([row("bm_alpha", events=1.0, windows=0.0)])
+        code, out = self.gate([row("bm_alpha", events=1.0)])
+        self.assertEqual(code, 2, out)
+        self.assertIn("missing counter bench_a:bm_alpha windows (was 0.0)", out)
+
+    def test_crashing_binary_writes_nothing(self):
+        self.record([row("bm_alpha", events=1.0)])
+        with open(self.baseline, "rb") as fh:
+            before = fh.read()
+        self.fake_binary("bench_b", [row("bm_beta", events=2.0)], exit_code=3)
+        report = os.path.join(self.tmp, "report.json")
+        code, out = self.run_all("--out", report, "--diff", self.baseline,
+                                 "--update-baseline", self.baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("bench_b", out)
+        self.assertFalse(os.path.exists(report))
+        with open(self.baseline, "rb") as fh:
+            self.assertEqual(fh.read(), before)
+
+    def test_row_reporting_an_error_fails_the_run(self):
+        self.fake_binary("bench_a", [row("bm_alpha", error_occurred=True,
+                                         error_message="hit rate below 0.9")])
+        code, out = self.run_all("--update-baseline", self.baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("hit rate below 0.9", out)
+        self.assertFalse(os.path.exists(self.baseline))
+
+    def test_update_baseline_is_byte_identical_and_counters_only(self):
+        self.fake_binary("bench_b", [row("bm_z", real_time=1.0, n=2.0),
+                                     row("bm_a", real_time=2.0, n=1.0)])
+        self.record([row("bm_alpha", real_time=3.0, events=1.0)])
+        with open(self.baseline, "rb") as fh:
+            first = fh.read()
+        self.fake_binary("bench_b", [row("bm_a", real_time=7.0, n=1.0),
+                                     row("bm_z", real_time=8.0, n=2.0)])
+        self.record([row("bm_alpha", real_time=9.0, iterations=1,
+                         events=1.0)])
+        with open(self.baseline, "rb") as fh:
+            self.assertEqual(fh.read(), first)
+        doc = json.loads(first)
+        self.assertEqual(list(doc), ["benchmarks"])
+        self.assertEqual(doc["benchmarks"], [
+            {"binary": "bench_a", "name": "bm_alpha", "counters": {"events": 1.0}},
+            {"binary": "bench_b", "name": "bm_a", "counters": {"n": 1.0}},
+            {"binary": "bench_b", "name": "bm_z", "counters": {"n": 2.0}},
+        ])
 
 
 if __name__ == "__main__":
