@@ -59,10 +59,10 @@ int main() {
     std::printf("phase 1: clean following, learned monitor training (0-%.0f s)\n",
                 static_cast<double>(config.drift_start.count_ns()) / 1e9);
     scenario->run(config.drift_start);
-    const auto& monitor = ego.learned_monitor();
+    const auto& scorer = ego.learned_monitor().scorer();
     std::printf("  gap %.1f m, states learned %zu, score %.2f bits, alarmed %s\n",
-                ego.driving().gap_m(), monitor.state_model().state_count(),
-                monitor.score(), monitor.alarmed() ? "YES" : "no");
+                ego.driving().gap_m(), scorer.state_model().state_count(),
+                scorer.score(), scorer.alarmed() ? "YES" : "no");
 
     std::printf("phase 2: radar calibration walks %.1f m in %d steps (no "
                 "threshold crossed)\n",
@@ -74,7 +74,7 @@ int main() {
     std::printf("\nresult after %.0f s:\n",
                 static_cast<double>(config.duration.count_ns()) / 1e9);
     std::printf("  learned alarms: %zu (%zu before drift), score %.2f bits\n",
-                learned_alarms, clean_phase_alarms, monitor.score());
+                learned_alarms, clean_phase_alarms, scorer.score());
     std::printf("  sensor-quality anomalies: %zu (the drift never trips a "
                 "threshold)\n",
                 quality_anomalies);

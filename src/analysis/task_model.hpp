@@ -79,6 +79,12 @@ struct CanBusModel {
     std::vector<CanMessageModel> messages;
 };
 
+/// Busy-window bounds shared by the CPU and CAN analyses: fixed-point
+/// iterations per job (guards divergence) and jobs q examined per busy
+/// window. Hitting either marks the result non-converged.
+inline constexpr int kWcrtMaxIterations = 10'000;
+inline constexpr int kWcrtMaxBusyJobs = 10'000;
+
 /// Result of a response-time analysis for one entity.
 struct WcrtResult {
     std::string name;

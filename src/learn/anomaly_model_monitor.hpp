@@ -8,7 +8,8 @@
 // DegradationPolicy into the ability graph exactly like every hand-written
 // monitor's; nothing downstream knows the threshold was learned.
 //
-// Evaluation is tap-driven (no own periodic): a scoring round closes when a
+// Evaluation is tap-driven (no own periodic): every ingest of a tracked
+// metric is fed to the LearnedScorer, whose scoring round closes when a
 // tracked metric repeats, so the anomaly stream is a pure function of the
 // ingest stream — identical across 1/2/4 domains by construction.
 
@@ -46,6 +47,63 @@ struct LearnedMonitorConfig {
     std::uint64_t seed = 1;
 };
 
+/// An alarm-state transition of the learned scorer.
+struct ScoredEvent {
+    std::int64_t at_ns = 0;
+    std::size_t state = 0;
+    double score = 0.0;  ///< surprise in bits at the transition
+    bool abnormal = false;  ///< true: learned_abnormality; false: recovered
+
+    bool operator==(const ScoredEvent&) const = default;
+};
+
+/// The learned scoring rule, free of the simulator so the in-sim monitor
+/// and the offline engine (offline.hpp) run the same code. Samples arrive
+/// as (at_ns, metric index, value), indexed in config().metrics order. A
+/// repeated metric closes the round: the completed joint observation is
+/// banded and scored by the StateModel before the sample is folded into
+/// its MetricModel. State statistics learn from every round; alarms fire
+/// only once `warmup` has elapsed since the first sample, and an alarm
+/// recovers at recover_ratio * score_threshold.
+class LearnedScorer {
+public:
+    /// Tracks config.metrics, which must not be empty (lint rule LRN001).
+    explicit LearnedScorer(LearnedMonitorConfig config);
+
+    /// Band index of a tracked metric; nullopt for untracked names.
+    [[nodiscard]] std::optional<std::size_t> index_of(std::string_view name) const;
+
+    /// Feed one sample of tracked metric `index`. Returns the alarm
+    /// transition made by the round this sample closed, if any.
+    std::optional<ScoredEvent> feed(std::int64_t at_ns, std::size_t index,
+                                    double value);
+
+    [[nodiscard]] const LearnedMonitorConfig& config() const noexcept {
+        return config_;
+    }
+    /// Surprise (bits) of the latest scored round.
+    [[nodiscard]] double score() const noexcept { return score_; }
+    [[nodiscard]] bool alarmed() const noexcept { return alarmed_; }
+    /// True once the warm-up has elapsed between the first sample and `now_ns`.
+    [[nodiscard]] bool warmed_up(std::int64_t now_ns) const noexcept;
+    [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
+    [[nodiscard]] const StateModel& state_model() const noexcept { return state_; }
+    [[nodiscard]] const MetricModel& metric_model(std::size_t index) const {
+        return models_[index];
+    }
+
+private:
+    LearnedMonitorConfig config_;
+    std::vector<MetricModel> models_;
+    std::vector<bool> in_round_;  ///< updated since the last evaluation
+    std::vector<int> bands_;      ///< scratch, reused every evaluation
+    StateModel state_;
+    std::optional<std::int64_t> first_ns_;
+    double score_ = 0.0;
+    bool alarmed_ = false;
+    std::uint64_t evals_ = 0;
+};
+
 class AnomalyModelMonitor : public monitor::Monitor {
 public:
     AnomalyModelMonitor(sim::Simulator& simulator,
@@ -53,33 +111,21 @@ public:
                         LearnedMonitorConfig config);
     ~AnomalyModelMonitor() override;
 
-    [[nodiscard]] const LearnedMonitorConfig& config() const noexcept {
-        return config_;
-    }
-    /// Latest joint-state surprise (bits).
-    [[nodiscard]] double score() const noexcept { return score_; }
-    [[nodiscard]] bool alarmed() const noexcept { return alarmed_; }
+    /// The scoring state: config, latest score, alarm, per-metric models.
+    [[nodiscard]] const LearnedScorer& scorer() const noexcept { return scorer_; }
     /// True once the sim-time warm-up has elapsed (scoring active).
-    [[nodiscard]] bool warmed_up() const noexcept;
-    [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
-    [[nodiscard]] const StateModel& state_model() const noexcept { return state_; }
-    /// Per-metric model, nullptr for untracked names.
-    [[nodiscard]] const MetricModel* metric_model(std::string_view name) const;
+    [[nodiscard]] bool warmed_up() const noexcept {
+        return scorer_.warmed_up(simulator_.now().ns());
+    }
+    [[nodiscard]] std::uint64_t evaluations() const noexcept {
+        return scorer_.evaluations();
+    }
 
 private:
     void on_metric(const monitor::Metric& metric);
-    void evaluate(sim::Time at);
 
     monitor::MonitorManager& manager_;
-    LearnedMonitorConfig config_;
-    std::vector<MetricModel> models_;
-    std::vector<bool> in_round_;  ///< updated since the last evaluation
-    std::vector<int> bands_;      ///< scratch, reused every evaluation
-    StateModel state_;
-    std::optional<sim::Time> first_sample_;
-    double score_ = 0.0;
-    bool alarmed_ = false;
-    std::uint64_t evals_ = 0;
+    LearnedScorer scorer_;
     std::uint64_t tap_id_ = 0;
 };
 

@@ -9,9 +9,9 @@
 // caps the radar capability, degrading acc_driving like any hand-written
 // alarm would.
 //
-// One declaration shared by the example, the tests, the sa_learn CLI and the
-// campaign fault axis, so "the drift scenario" means the same scenario
-// everywhere.
+// One declaration shared by the example, the tests and the sa_learn CLI, so
+// "the drift scenario" means the same scenario in all three. (The campaign
+// runner's sensor_drift fault scripts its own capability-decay ramp.)
 
 #include <cstdint>
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace sa::learn {
 
-std::vector<std::string>
-resolve_trace_metrics(const Trace& trace, const LearnedMonitorConfig& config) {
+namespace {
+
+std::vector<std::string> resolve_trace_metrics(const Trace& trace,
+                                               const LearnedMonitorConfig& config) {
     if (!config.metrics.empty()) {
         return config.metrics;
     }
@@ -22,73 +22,35 @@ resolve_trace_metrics(const Trace& trace, const LearnedMonitorConfig& config) {
     return names;
 }
 
-OfflineResult run_offline(const Trace& trace, const LearnedMonitorConfig& config) {
-    const std::vector<std::string> names = resolve_trace_metrics(trace, config);
-    SA_REQUIRE(!names.empty(),
-               "no tracked metrics: empty trace or auto_metrics disabled "
-               "(lint rule LRN001)");
+} // namespace
 
-    StateModelConfig state_config = config.state;
-    state_config.seed = config.seed;
-    StateModel state(state_config);
-    std::vector<MetricModel> models(names.size(), MetricModel(config.metric));
-    std::vector<bool> in_round(names.size(), false);
-    std::vector<int> bands(names.size(), 0);
+OfflineResult run_offline(const Trace& trace, const LearnedMonitorConfig& config) {
+    LearnedMonitorConfig tracked = config;
+    tracked.metrics = resolve_trace_metrics(trace, config);
+    LearnedScorer scorer(std::move(tracked));
 
     OfflineResult result;
-    bool have_first = false;
-    std::int64_t first_ns = 0;
-    bool alarmed = false;
-
-    // Mirrors AnomalyModelMonitor::on_metric()/evaluate(): a repeated metric
-    // closes the round, scoring happens first, alarms gate on warm-up.
-    auto evaluate = [&](std::int64_t at_ns) {
-        ++result.evaluations;
-        for (std::size_t i = 0; i < models.size(); ++i) {
-            bands[i] = state.band(models[i].drift_z());
-        }
-        const StateModel::Observation obs = state.observe(bands);
-        result.max_score = std::max(result.max_score, obs.score);
-        if (at_ns - first_ns < config.warmup.count_ns()) {
-            return;
-        }
-        if (!alarmed && obs.score >= config.score_threshold) {
-            alarmed = true;
-            result.events.push_back(
-                ScoredEvent{at_ns, obs.state, obs.score, true});
-        } else if (alarmed &&
-                   obs.score <= config.recover_ratio * config.score_threshold) {
-            alarmed = false;
-            result.events.push_back(
-                ScoredEvent{at_ns, obs.state, obs.score, false});
-        }
-    };
-
     for (const auto& sample : trace.samples) {
-        const auto it = std::find(names.begin(), names.end(), sample.name);
-        if (it == names.end()) {
+        const std::optional<std::size_t> index = scorer.index_of(sample.name);
+        if (!index) {
             continue;
         }
-        const auto index = static_cast<std::size_t>(it - names.begin());
-        if (!have_first) {
-            have_first = true;
-            first_ns = sample.at_ns;
+        if (const std::optional<ScoredEvent> event =
+                scorer.feed(sample.at_ns, *index, sample.value)) {
+            result.events.push_back(*event);
         }
-        if (in_round[index]) {
-            evaluate(sample.at_ns);
-            std::fill(in_round.begin(), in_round.end(), false);
-        }
-        models[index].update(sample.value);
-        in_round[index] = true;
+        result.max_score = std::max(result.max_score, scorer.score());
     }
 
-    result.state_count = state.state_count();
+    result.evaluations = scorer.evaluations();
+    result.state_count = scorer.state_model().state_count();
+    const std::vector<std::string>& names = scorer.config().metrics;
     result.metrics.reserve(names.size());
     for (std::size_t i = 0; i < names.size(); ++i) {
+        const MetricModel& model = scorer.metric_model(i);
         result.metrics.push_back(MetricBaseline{
-            names[i], models[i].count(), models[i].warmed_up(),
-            models[i].mean(), models[i].sigma(), models[i].ewma(),
-            models[i].drift_z()});
+            names[i], model.count(), model.warmed_up(), model.mean(),
+            model.sigma(), model.ewma(), model.drift_z()});
     }
     return result;
 }

@@ -1,8 +1,8 @@
 #pragma once
-// Offline fit/score over recorded traces — the sa_learn CLI's engine. Runs
-// the exact online algorithm (MetricModel + StateModel with the same
-// round-closing rule as AnomalyModelMonitor) over a Trace, so offline scores
-// reproduce what the in-sim monitor would have raised on the same stream.
+// Offline fit/score over recorded traces — the sa_learn CLI's engine. Feeds
+// a Trace through the same LearnedScorer the in-sim AnomalyModelMonitor
+// runs, so offline scores reproduce what the monitor would have raised on
+// the same stream.
 
 #include <cstdint>
 #include <string>
@@ -12,16 +12,6 @@
 #include "learn/trace.hpp"
 
 namespace sa::learn {
-
-/// An alarm-state transition produced by scoring a trace.
-struct ScoredEvent {
-    std::int64_t at_ns = 0;
-    std::size_t state = 0;
-    double score = 0.0;  ///< surprise in bits at the transition
-    bool abnormal = false;  ///< true: learned_abnormality; false: recovered
-
-    bool operator==(const ScoredEvent&) const = default;
-};
 
 /// Frozen per-metric baseline after a fit.
 struct MetricBaseline {
@@ -42,13 +32,10 @@ struct OfflineResult {
     std::vector<ScoredEvent> events;
 };
 
-/// Tracked metric names for `trace` under `config`: the configured list, or
-/// (auto_metrics) every distinct metric in first-appearance order.
-[[nodiscard]] std::vector<std::string>
-resolve_trace_metrics(const Trace& trace, const LearnedMonitorConfig& config);
-
 /// Fit + score `trace` under `config` in one pass (the algorithm is fully
-/// incremental, so fitting IS scoring with the events kept).
+/// incremental, so fitting IS scoring with the events kept). The tracked
+/// metrics are config.metrics, or with auto_metrics and an empty list every
+/// distinct metric of the trace in first-appearance order.
 [[nodiscard]] OfflineResult run_offline(const Trace& trace,
                                         const LearnedMonitorConfig& config);
 

@@ -10,7 +10,7 @@
 #include <string>
 #include <utility>
 
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 
 namespace sa::rte {
 

@@ -664,7 +664,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         const auto feed_id = [&v](const std::string& name) {
             return v.monitors_->metric_id(name);
         };
-        for (const auto& metric : v.learned_->config().metrics) {
+        for (const auto& metric : v.learned_->scorer().config().metrics) {
             if (metric == "drive.gap") {
                 feeds->push_back({feed_id(metric), [](Vehicle& veh) -> std::optional<double> {
                     if (veh.driving_ == nullptr) {
@@ -706,7 +706,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         }
         Vehicle* vp = &v;
         v.learned_pump_id_ = simulator.schedule_periodic(
-            v.learned_->config().period, [vp, feeds] {
+            v.learned_->scorer().config().period, [vp, feeds] {
                 const sim::Time now = vp->simulator_.now();
                 for (const auto& feed : *feeds) {
                     if (const std::optional<double> value = feed.read(*vp)) {

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "monitor/sensor_quality_monitor.hpp"
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "skills/aggregation.hpp"
 #include "skills/skill_graph.hpp"
 

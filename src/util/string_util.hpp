@@ -37,6 +37,10 @@ std::string to_lower(std::string_view text);
 /// printf-style helper returning std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Escape `text` for embedding in a JSON string literal (no quotes added):
+/// quote, backslash, \n, \r, \t, and \u00XX for other control bytes.
+std::string json_escape(std::string_view text);
+
 /// Render a duration in nanoseconds with an adaptive unit ("12.3us", "4.5ms").
 std::string human_duration_ns(long long ns);
 

@@ -321,7 +321,7 @@ TEST(ZeroAllocPins, EventSchedulePopSteadyState) {
     EXPECT_EQ(sink, 32u * 8u * 11u);
 }
 
-TEST(ZeroAllocPins, RunBatchAndPeriodicsSteadyState) {
+TEST(ZeroAllocPins, PeriodicsSteadyState) {
     Simulator sim;
     std::uint64_t ticks = 0;
     const std::uint64_t id =
@@ -354,12 +354,15 @@ TEST(ZeroAllocPins, NativeCanRoundTripSteadyState) {
     for (int i = 0; i < 40; ++i) {
         round_trip();
     }
-    EXPECT_TRUE(eventually_alloc_free(12, [&] {
-        for (int i = 0; i < 5; ++i) {
-            round_trip();
-        }
-    })) << "native CAN round trip allocated in every probe window";
-    EXPECT_GE(echoes, 40u);
+    // The controllers keep running TX-latency statistics, not every sample,
+    // so the steady state is exactly allocation-free.
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 60; ++i) {
+        round_trip();
+    }
+    EXPECT_EQ(scope.allocations(), 0u)
+        << "native CAN round trip allocated in steady state";
+    EXPECT_EQ(echoes, 100u);
 }
 
 TEST(ZeroAllocPins, VirtualizedCanRoundTripSteadyState) {

@@ -258,7 +258,7 @@ TEST(AnomalyModelMonitor, RaisesAndRecoversOnJointStateShift) {
     });
     sim.run_until(Time(Duration::sec(2).count_ns()));
     EXPECT_TRUE(monitor.warmed_up());
-    EXPECT_FALSE(monitor.alarmed());
+    EXPECT_FALSE(monitor.scorer().alarmed());
     EXPECT_TRUE(kinds.empty());
     EXPECT_GT(monitor.evaluations(), 100u);
 
@@ -273,13 +273,14 @@ TEST(AnomalyModelMonitor, RaisesAndRecoversOnJointStateShift) {
     // returning to baseline keeps it that way): recovery follows the alarm.
     x_level = 1.0;
     sim.run_until(Time(Duration::sec(6).count_ns()));
-    EXPECT_FALSE(monitor.alarmed());
+    EXPECT_FALSE(monitor.scorer().alarmed());
     EXPECT_EQ(kinds.back(), monitor::kinds::kLearnedRecovered);
 
     // Introspection: both tracked metrics have models, untracked names none.
-    ASSERT_NE(monitor.metric_model("x"), nullptr);
-    EXPECT_TRUE(monitor.metric_model("x")->warmed_up());
-    EXPECT_EQ(monitor.metric_model("ghost"), nullptr);
+    const LearnedScorer& scorer = monitor.scorer();
+    ASSERT_EQ(scorer.index_of("x"), std::optional<std::size_t>(0));
+    EXPECT_TRUE(scorer.metric_model(0).warmed_up());
+    EXPECT_EQ(scorer.index_of("ghost"), std::nullopt);
 }
 
 TEST(AnomalyModelMonitor, QuietDuringWarmup) {
@@ -316,7 +317,8 @@ struct AnomalyLogEntry {
 struct DriftRun {
     Trace trace;
     std::vector<AnomalyLogEntry> anomalies;
-    std::vector<ScoredEvent> learned_events; ///< from the in-sim anomaly stream
+    /// From the in-sim anomaly stream; `score` holds the Anomaly magnitude.
+    std::vector<ScoredEvent> learned_events;
     double radar_level = 1.0;
     double acc_level = 1.0;
     std::size_t quality_anomalies = 0;
@@ -334,7 +336,7 @@ DriftRun run_drift_demo(const DriftDemoConfig& config) {
         if (a.kind == monitor::kinds::kLearnedAbnormality ||
             a.kind == monitor::kinds::kLearnedRecovered) {
             run.learned_events.push_back(
-                {a.at.ns(), 0, 0.0,
+                {a.at.ns(), 0, a.magnitude,
                  a.kind == monitor::kinds::kLearnedAbnormality});
             if (a.at.ns() < config.drift_start.count_ns() &&
                 a.kind == monitor::kinds::kLearnedAbnormality) {
@@ -379,13 +381,19 @@ TEST(DriftDemo, OfflineScoringMatchesTheInSimMonitor) {
 
     // The offline engine replays the exact online algorithm over the exact
     // recorded stream: its alarm-state transitions must match the in-sim
-    // anomaly sequence in time and direction.
+    // anomaly sequence in time and direction, and every abnormal event's
+    // magnitude (score / threshold) bit for bit.
     ASSERT_EQ(offline.events.size(), run.learned_events.size());
     for (std::size_t i = 0; i < offline.events.size(); ++i) {
         EXPECT_EQ(offline.events[i].at_ns, run.learned_events[i].at_ns)
             << "event " << i;
         EXPECT_EQ(offline.events[i].abnormal, run.learned_events[i].abnormal)
             << "event " << i;
+        if (offline.events[i].abnormal) {
+            EXPECT_EQ(offline.events[i].score / config.score_threshold,
+                      run.learned_events[i].score)
+                << "event " << i;
+        }
     }
     EXPECT_GT(offline.max_score, config.score_threshold);
 }

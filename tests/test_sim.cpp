@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "util/assert.hpp"
@@ -304,56 +304,6 @@ TEST(Signal, ReentrantSubscribeDuringEmitIsSafe) {
     EXPECT_GE(count, 1);
     sig.emit();
     EXPECT_GE(count, 3);
-}
-
-// --- Process ---------------------------------------------------------------------
-
-TEST(Process, RunsPeriodically) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start();
-    sim.run_until(Time(Duration::ms(55).count_ns()));
-    EXPECT_EQ(runs, 6); // 0, 10, 20, 30, 40, 50
-    EXPECT_EQ(p.activations(), 6u);
-}
-
-TEST(Process, StopHaltsExecution) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start();
-    sim.run_until(Time(Duration::ms(25).count_ns()));
-    p.stop();
-    sim.run_until(Time(Duration::ms(100).count_ns()));
-    EXPECT_EQ(runs, 3);
-}
-
-TEST(Process, SelfAdjustingPeriod) {
-    Simulator sim;
-    std::vector<std::int64_t> at;
-    Process p(sim, "adaptive", Duration::ms(10), [&](Process& self) {
-        at.push_back(sim.now().ns());
-        self.set_period(Duration::ms(20));
-    });
-    p.start();
-    sim.run_until(Time(Duration::ms(55).count_ns()));
-    ASSERT_GE(at.size(), 3u);
-    EXPECT_EQ(at[0], 0);
-    EXPECT_EQ(at[1], Duration::ms(20).count_ns());
-    EXPECT_EQ(at[2], Duration::ms(40).count_ns());
-}
-
-TEST(Process, StopCancelsInFlightActivation) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start(Duration::ms(5));
-    EXPECT_EQ(sim.pending_events(), 1u);
-    p.stop();
-    EXPECT_EQ(sim.pending_events(), 0u); // armed event cancelled eagerly
-    sim.run_until(Time(Duration::ms(100).count_ns()));
-    EXPECT_EQ(runs, 0);
 }
 
 // --- Trace -----------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,11 @@ sa::learn::Trace record_drift(const sa::learn::DriftDemoConfig& config) {
 
 struct ParsedArgs {
     sa::learn::DriftDemoConfig demo;
-    sa::learn::LearnedMonitorConfig model;
+    /// --warmup-ms: the scored model's warm-up only; the recorded scenario
+    /// keeps its own.
+    std::optional<sa::sim::Duration> warmup;
     bool expect_anomaly = false;
     bool domains_overridden = false;
-    bool warmup_overridden = false;
-    bool threshold_overridden = false;
     std::string file;
     bool ok = true;
 };
@@ -75,7 +76,6 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
         const std::string& arg = args[i];
         if (arg == "--seed" && i + 1 < args.size()) {
             parsed.demo.seed = std::stoull(args[++i]);
-            parsed.model.seed = parsed.demo.seed;
         } else if (arg == "--domains" && i + 1 < args.size()) {
             parsed.demo.domains = std::stoull(args[++i]);
             parsed.domains_overridden = true;
@@ -86,12 +86,9 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
         } else if (arg == "--band-width" && i + 1 < args.size()) {
             parsed.demo.band_width = std::stod(args[++i]);
         } else if (arg == "--warmup-ms" && i + 1 < args.size()) {
-            parsed.model.warmup = sa::sim::Duration::ms(std::stoll(args[++i]));
-            parsed.warmup_overridden = true;
+            parsed.warmup = sa::sim::Duration::ms(std::stoll(args[++i]));
         } else if (arg == "--threshold" && i + 1 < args.size()) {
-            parsed.model.score_threshold = std::stod(args[++i]);
-            parsed.demo.score_threshold = parsed.model.score_threshold;
-            parsed.threshold_overridden = true;
+            parsed.demo.score_threshold = std::stod(args[++i]);
         } else if (arg == "--expect-anomaly") {
             parsed.expect_anomaly = true;
         } else if (!arg.empty() && arg.front() == '-') {
@@ -122,11 +119,10 @@ int cmd_record(const std::vector<std::string>& args) {
 /// Score-model defaults for fit/score: mirror the drift demo's monitor so
 /// the offline verdict matches what the recording vehicle raised.
 sa::learn::LearnedMonitorConfig offline_config(const ParsedArgs& parsed) {
-    // parsed.demo already carries --seed/--threshold; --warmup-ms lands in
-    // the model config only (the demo's warm-up stays a scenario property).
+    // parsed.demo already carries --seed/--threshold/--band-width.
     sa::learn::DriftDemoConfig demo = parsed.demo;
-    if (parsed.warmup_overridden) {
-        demo.warmup = parsed.model.warmup;
+    if (parsed.warmup) {
+        demo.warmup = *parsed.warmup;
     }
     return sa::learn::drift_demo_model(demo);
 }
