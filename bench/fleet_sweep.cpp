@@ -1,17 +1,16 @@
-// FLEET — fleet-scale sweep of the sharded kernel: 8, 32 and 128 light
-// vehicles at 1, 2 and 4 ECU domains. Where bench/sharded_kernel.cpp runs
+// FLEET — fleet-scale sweep of the kernel: 8, 32 and 128 light vehicles on
+// one event queue. Where bench/sharded_kernel.cpp runs
 // the heavy dual-bus platoon preset on three vehicles, this sweep holds the
 // per-vehicle workload deliberately small (one ECU, two periodic RTE tasks,
 // a 100 ms CAM beacon on the shared V2V medium) and scales the vehicle
 // count instead — the axis the arena/pool memory layout is built for. In
-// steady state every hot structure (event-queue buckets, periodic slots,
+// steady state every hot structure (event-queue slots, periodic slots,
 // interned metrics, V2V delivery fan-out) is recycled, so the sweep shows
 // whether throughput stays linear in fleet size or the kernel drowns in
 // allocator traffic.
 //
 // Timing is manual (UseManualTime): assembly of N vehicles is excluded,
-// run() wall time only. Counters report the executed-event totals so the
-// sharded rows can be checked for workload identity across domain counts.
+// run() wall time only. Counters report the executed-event totals.
 
 #include <benchmark/benchmark.h>
 
@@ -63,14 +62,11 @@ void declare_light_vehicle(scenario::ScenarioBuilder& builder,
 
 void BM_FleetSweep(benchmark::State& state) {
     const auto vehicles = static_cast<int>(state.range(0));
-    const auto domains = static_cast<std::size_t>(state.range(1));
     std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t cross = 0;
     std::uint64_t deliveries = 0;
     for (auto _ : state) {
         scenario::ScenarioBuilder builder(2026);
-        builder.domains(domains).v2v(0.0, Duration::ms(20));
+        builder.v2v(0.0, Duration::ms(20));
         for (int i = 0; i < vehicles; ++i) {
             declare_light_vehicle(builder, vehicle_name(i));
         }
@@ -87,25 +83,23 @@ void BM_FleetSweep(benchmark::State& state) {
         }
 
         const auto start = std::chrono::steady_clock::now();
-        scenario->run(Duration::ms(200), domains);
+        scenario->run(Duration::ms(200));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
         events = scenario->kernel().executed_events();
-        windows = scenario->kernel().windows();
-        cross = scenario->kernel().cross_domain_events();
         deliveries = scenario->v2v().deliveries();
     }
     state.counters["events"] = static_cast<double>(events);
-    state.counters["windows"] = static_cast<double>(windows);
-    state.counters["cross_domain_events"] = static_cast<double>(cross);
     state.counters["v2v_deliveries"] = static_cast<double>(deliveries);
     state.counters["events_per_vehicle"] =
         static_cast<double>(events) / static_cast<double>(vehicles);
 }
 BENCHMARK(BM_FleetSweep)
-    ->ArgNames({"vehicles", "domains"})
-    ->ArgsProduct({{8, 32, 128}, {1, 2, 4}})
+    ->ArgName("vehicles")
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -2,20 +2,12 @@
 // by gateways inside each of n vehicles, every vehicle pumping object frames
 // down its chain, plus V2V cooperative awareness coupling the vehicles.
 //
-// Two questions are measured:
-//   1. Saturation: how does wall time scale with vehicles x buses x gateways
-//      in one domain (domains:1, windows run on the calling thread)?
-//   2. Sharding: with the same workload partitioned across ECU domains
-//      (ScenarioBuilder::domains(n)), how does wall time scale with domain
-//      count? Cross-domain coupling is the 20 ms V2V beacon latency — the
-//      conservative lookahead — so each window carries ~20 ms of dense
-//      per-domain gateway traffic. Every window runs on the calling thread,
-//      so the sharded rows measure the partition's coordination overhead.
+// The question measured: how does wall time scale with vehicles x buses x
+// gateways on one event queue?
 //
-// BM_BridgedBackbone adds the adversarial variant: scenario-level bridges
-// (cross-vehicle, cross-domain gateway routes at 100 us forward latency)
-// shrink the lookahead window 200x, measuring what fine-grained cross-domain
-// coupling costs the sharded kernel in barriers.
+// BM_BridgedBackbone adds scenario-level bridges (cross-vehicle gateway
+// routes at 100 us forward latency) joining the vehicles' backbones into a
+// ring.
 //
 // Timing is manual (UseManualTime): scenario assembly is excluded, the
 // run() is what's measured, wall-clock.
@@ -78,15 +70,14 @@ void declare_fanout_vehicle(scenario::ScenarioBuilder& builder,
                            kObjectIdBase, 0x700);
 }
 
-std::unique_ptr<scenario::Scenario> build_fanout(int vehicles, int buses,
-                                                 std::size_t domains) {
+std::unique_ptr<scenario::Scenario> build_fanout(int vehicles, int buses) {
     scenario::ScenarioBuilder builder(2027);
-    builder.domains(domains).v2v(0.0, Duration::ms(20));
+    builder.v2v(0.0, Duration::ms(20));
     for (int i = 0; i < vehicles; ++i) {
         declare_fanout_vehicle(builder, vehicle_name(i), buses);
     }
     auto scenario = builder.build();
-    // Cooperative awareness: every vehicle beacons from its own domain.
+    // Cooperative awareness: every vehicle beacons every 100 ms.
     for (int i = 0; i < vehicles; ++i) {
         const std::string name = vehicle_name(i);
         scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
@@ -104,15 +95,12 @@ std::unique_ptr<scenario::Scenario> build_fanout(int vehicles, int buses,
 void BM_GatewaySaturation(benchmark::State& state) {
     const int vehicles = static_cast<int>(state.range(0));
     const int buses = static_cast<int>(state.range(1));
-    const auto domains = static_cast<std::size_t>(state.range(2));
     std::uint64_t forwards = 0;
     std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t cross = 0;
     for (auto _ : state) {
-        auto scenario = build_fanout(vehicles, buses, domains);
+        auto scenario = build_fanout(vehicles, buses);
         const auto start = std::chrono::steady_clock::now();
-        scenario->run(Duration::ms(200), domains);
+        scenario->run(Duration::ms(200));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
         forwards = 0;
@@ -124,31 +112,21 @@ void BM_GatewaySaturation(benchmark::State& state) {
             }
         }
         events = scenario->kernel().executed_events();
-        windows = scenario->kernel().windows();
-        cross = scenario->kernel().cross_domain_events();
     }
     state.counters["frames_forwarded"] = static_cast<double>(forwards);
     state.counters["events"] = static_cast<double>(events);
-    state.counters["windows"] = static_cast<double>(windows);
-    state.counters["cross_domain_events"] = static_cast<double>(cross);
 }
 BENCHMARK(BM_GatewaySaturation)
-    ->ArgNames({"vehicles", "buses", "domains"})
-    // Saturation scaling in one domain.
-    ->Args({4, 3, 1})
-    ->Args({8, 3, 1})
-    ->Args({16, 3, 1})
-    ->Args({8, 5, 1})
-    // Domain scaling of the same workload (speedup tracks physical cores).
-    ->Args({8, 3, 2})
-    ->Args({8, 3, 4})
+    ->ArgNames({"vehicles", "buses"})
+    ->Args({4, 3})
+    ->Args({8, 3})
+    ->Args({16, 3})
+    ->Args({8, 5})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-std::unique_ptr<scenario::Scenario> build_backbone(int vehicles,
-                                                   std::size_t domains) {
+std::unique_ptr<scenario::Scenario> build_backbone(int vehicles) {
     scenario::ScenarioBuilder builder(2028);
-    builder.domains(domains);
     for (int i = 0; i < vehicles; ++i) {
         rte::RtTaskConfig obj_tx;
         obj_tx.name = "obj_tx";
@@ -166,9 +144,7 @@ std::unique_ptr<scenario::Scenario> build_backbone(int vehicles,
                                   can::CanFrame::make(id, {1, 2, 3, 4}));
     }
     // Ring of scenario-level bridges: vehicle i's frames hop (exactly once,
-    // the id filter stops loops) onto vehicle i+1's backbone. Under sharding
-    // these are cross-domain routes: each ingress domain's lookahead drops
-    // to the 100 us forward latency.
+    // the id filter stops loops) onto vehicle i+1's backbone.
     for (int i = 0; i < vehicles; ++i) {
         const int next = (i + 1) % vehicles;
         scenario::BridgeSpec bridge;
@@ -185,13 +161,11 @@ std::unique_ptr<scenario::Scenario> build_backbone(int vehicles,
 
 void BM_BridgedBackbone(benchmark::State& state) {
     const int vehicles = static_cast<int>(state.range(0));
-    const auto domains = static_cast<std::size_t>(state.range(1));
     std::uint64_t forwards = 0;
-    std::uint64_t windows = 0;
     for (auto _ : state) {
-        auto scenario = build_backbone(vehicles, domains);
+        auto scenario = build_backbone(vehicles);
         const auto start = std::chrono::steady_clock::now();
-        scenario->run(Duration::ms(100), domains);
+        scenario->run(Duration::ms(100));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
         forwards = 0;
@@ -199,16 +173,12 @@ void BM_BridgedBackbone(benchmark::State& state) {
             forwards += scenario->bridge("bridge" + std::to_string(i))
                             .frames_forwarded();
         }
-        windows = scenario->kernel().windows();
     }
     state.counters["frames_forwarded"] = static_cast<double>(forwards);
-    state.counters["windows"] = static_cast<double>(windows);
 }
 BENCHMARK(BM_BridgedBackbone)
-    ->ArgNames({"vehicles", "domains"})
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4})
+    ->ArgName("vehicles")
+    ->Arg(8)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

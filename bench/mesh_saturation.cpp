@@ -2,10 +2,8 @@
 //
 // BM_MeshSaturation: a chain of N mesh stacks at 120 m spacing under a
 // 150 m radio (only adjacent stacks hear each other directly), beaconing at
-// 100 ms with TTL covering the full diameter, sharded across D domains with
-// the head unicasting CAMs at the tail. Event throughput scales with N x
-// relays; the sharded rows surface the lookahead-window coordination cost on
-// the same workload (counters locked in by tests/test_mesh.cpp).
+// 100 ms with TTL covering the full diameter, with the head unicasting CAMs
+// at the tail. Event throughput scales with N x relays.
 //
 // BM_MeshRouteConvergence: simulated time until the head of an 8-stack
 // chain first resolves a next hop toward the tail, per next-hop policy —
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "mesh/mesh_stack.hpp"
-#include "sim/sharded_kernel.hpp"
 
 using namespace sa;
 using sim::Duration;
@@ -40,35 +37,32 @@ std::string stack_name(int i) { return "v" + std::to_string(i); }
 
 void BM_MeshSaturation(benchmark::State& state) {
     const int vehicles = static_cast<int>(state.range(0));
-    const auto domains = static_cast<std::size_t>(state.range(1));
     std::uint64_t transmissions = 0;
     std::uint64_t deliveries = 0;
     std::uint64_t relays = 0;
     std::uint64_t cams = 0;
     for (auto _ : state) {
-        sim::ShardedKernel kernel(domains, 2051);
-        v2v::Medium medium(kernel.domain(0), {.loss_probability = 0.1,
-                                              .latency = Duration::ms(20),
-                                              .range_m = 150.0,
-                                              .seed = 2051});
+        sim::Simulator sim(2051);
+        v2v::Medium medium(sim, {.loss_probability = 0.1,
+                                 .latency = Duration::ms(20),
+                                 .range_m = 150.0,
+                                 .seed = 2051});
         std::vector<std::unique_ptr<mesh::MeshStack>> stacks;
         for (int i = 0; i < vehicles; ++i) {
             mesh::MeshConfig config;
             config.beacon_ttl = static_cast<std::uint32_t>(vehicles);
             config.beacon_phase = Duration::us(913 * i + 11);
             stacks.push_back(std::make_unique<mesh::MeshStack>(
-                stack_name(i), medium,
-                kernel.domain(static_cast<std::size_t>(i) % domains), config,
-                120.0 * i));
+                stack_name(i), medium, sim, config, 120.0 * i));
         }
         const std::string tail = stack_name(vehicles - 1);
-        kernel.domain(0).schedule_periodic(
+        sim.schedule_periodic(
             Duration::ms(250),
             [&head = *stacks.front(), tail] { (void)head.send_cam(tail); },
             Duration::ms(100));
 
         const auto start = std::chrono::steady_clock::now();
-        kernel.run_until(Time(Duration::sec(2).count_ns()));
+        sim.run_until(Time(Duration::sec(2).count_ns()));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
@@ -86,11 +80,10 @@ void BM_MeshSaturation(benchmark::State& state) {
     state.counters["tail_cams"] = static_cast<double>(cams);
 }
 BENCHMARK(BM_MeshSaturation)
-    ->ArgNames({"vehicles", "domains"})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Args({16, 4})
+    ->ArgName("vehicles")
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

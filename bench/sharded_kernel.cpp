@@ -1,11 +1,6 @@
-// SHARD — the sharded kernel on the flagship scenario: the dual-bus
-// three-vehicle platoon (examples/platoon_dual_bus.cpp) run at 1, 2 and 4
-// ECU domains. Every row runs the identical workload (identical per-vehicle
-// counters, events and windows — locked in by tests/test_sharded.cpp), and
-// every window runs its domains in index order on the calling thread; the
-// sharded rows partition the vehicles with the 20 ms V2V latency as
-// conservative lookahead, so they measure the partition's barrier and
-// mailbox overhead.
+// SHARD — the kernel on the flagship scenario: the dual-bus three-vehicle
+// platoon (examples/platoon_dual_bus.cpp) under a scripted message storm,
+// the workload whose traces tests/test_kernel.cpp pins by golden hash.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
 
@@ -26,20 +21,16 @@ namespace {
 const char* const kVehicles[] = {"alpha", "beta", "gamma"};
 
 void declare_vehicle(scenario::ScenarioBuilder& builder, const std::string& name) {
-    // The canonical preset — identical to the declaration the sharded
-    // determinism suite locks in, so this bench measures exactly the
-    // workload whose counters are proven stable across domain counts.
+    // The canonical preset — identical to the declaration the kernel
+    // determinism suite pins, so this bench measures exactly that workload.
     scenario::presets::declare_dual_bus_platoon_vehicle(builder, name);
 }
 
 void BM_ShardedDualBusPlatoon(benchmark::State& state) {
-    const auto domains = static_cast<std::size_t>(state.range(0));
     std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t cross = 0;
     for (auto _ : state) {
         scenario::ScenarioBuilder builder(2026);
-        builder.domains(domains).v2v(0.0, Duration::ms(20));
+        builder.v2v(0.0, Duration::ms(20));
         for (const char* name : kVehicles) {
             declare_vehicle(builder, name);
         }
@@ -65,23 +56,15 @@ void BM_ShardedDualBusPlatoon(benchmark::State& state) {
         }
 
         const auto start = std::chrono::steady_clock::now();
-        scenario->run(Duration::sec(3), domains);
+        scenario->run(Duration::sec(3));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
         events = scenario->kernel().executed_events();
-        windows = scenario->kernel().windows();
-        cross = scenario->kernel().cross_domain_events();
     }
     state.counters["events"] = static_cast<double>(events);
-    state.counters["windows"] = static_cast<double>(windows);
-    state.counters["cross_domain_events"] = static_cast<double>(cross);
 }
 BENCHMARK(BM_ShardedDualBusPlatoon)
-    ->ArgName("domains")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

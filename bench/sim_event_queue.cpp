@@ -17,9 +17,8 @@
 //  - BM_CancelHeavy: schedule/cancel churn (the rte scheduler's
 //    preempt-and-reschedule pattern); generation-counter cancel is O(1).
 //  - BM_BucketRecycleWaves: waves of distinct timestamps on one long-lived
-//    queue — asserts the bucket pool actually recycles (hit rate >= 0.9), so
-//    the unbounded bucket-storage growth fixed in the arena rework cannot
-//    silently come back.
+//    queue — counts the allocations of one warm wave (zero: buckets and
+//    slots are recycled).
 
 #include <benchmark/benchmark.h>
 
@@ -172,19 +171,13 @@ BENCHMARK(BM_CancelHeavy);
 
 /// Waves of 64 distinct timestamps pushed and drained on one long-lived
 /// queue — the steady-state shape of a simulation that keeps opening and
-/// retiring timestamp buckets. With the bucket pool, only the warm-up
-/// creates buckets (the pool's geometric ramp makes 8+16+32+64 = 120 for a
-/// 64-bucket working set); every later wave runs on recycled ones. The
-/// recycle-hit-rate assertion pins that: after the 16 warm-up waves, even a
-/// single-iteration probe run sees 2048 acquires against the 120 created,
-/// a rate of 1 - 120/2048 ~= 0.94, so the 0.9 gate fails only if recycling
-/// actually regresses.
+/// retiring timestamp buckets. Only the first wave grows the slot table and
+/// the bucket store; every later wave reuses them.
 void BM_BucketRecycleWaves(benchmark::State& state) {
     EventQueue q; // outlives all iterations: recycling is the point
     std::uint64_t sink = 0;
-    // Untimed warm-up: bring the bucket pool to its steady-state size so the
-    // timed iterations (and the hit-rate gate) measure recycling, not the
-    // pool's first-contact growth ramp.
+    // Untimed warm-up: grow the queue's storage to its steady-state size so
+    // the timed iterations measure recycling, not first-contact growth.
     for (int wave = 0; wave < 16; ++wave) {
         for (int i = 0; i < 64; ++i) {
             q.push(Time(wave * 64 + i + 1), [&sink] { ++sink; });
@@ -207,15 +200,9 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 16 * 64);
-    if (q.bucket_recycle_hit_rate() < 0.9) {
-        state.SkipWithError("bucket pool recycle hit rate below 0.9");
-    }
-    // Untimed probe: one more wave on the warm queue. Unlike the queue's
-    // running totals, its figures do not depend on the iteration count. The
-    // allocations are counted by the operator-new interposition; the hard
-    // zero pin lives in test_alloc.
-    const std::uint64_t acquires_before = q.bucket_acquires();
-    const std::size_t created_before = q.buckets_created();
+    // Untimed probe: one more wave on the warm queue, whose figure does not
+    // depend on the iteration count. The allocations are counted by the
+    // operator-new interposition; the hard zero pin lives in test_alloc.
     {
         sa::util::alloc_hook::CountScope scope;
         for (int i = 0; i < 64; ++i) {
@@ -228,11 +215,6 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
         state.counters["steady_allocs_per_wave"] =
             static_cast<double>(scope.allocations());
     }
-    state.counters["buckets_created"] = static_cast<double>(q.buckets_created());
-    state.counters["wave_bucket_acquires"] =
-        static_cast<double>(q.bucket_acquires() - acquires_before);
-    state.counters["wave_buckets_created"] =
-        static_cast<double>(q.buckets_created() - created_before);
 }
 BENCHMARK(BM_BucketRecycleWaves);
 

@@ -7,10 +7,9 @@
 //  - BM_SpecParseInstantiate: authoring cost — parse the textual spec form
 //    and instantiate the runtime ability graph. This is the "scenario as
 //    data" path; it runs at vehicle assembly, not in the control loop.
-//  - BM_ManeuverPlatoon/domains: the degradation-triggered split scenario
-//    (the workload tests/test_sharded.cpp proves deterministic across
-//    domain counts) at 1/2/4 ECU domains. Timing is manual: assembly
-//    excluded, run() wall time only.
+//  - BM_ManeuverPlatoon: the degradation-triggered split scenario (the
+//    workload tests/test_kernel.cpp pins by golden hash). Timing is manual:
+//    assembly excluded, run() wall time only.
 
 #include <benchmark/benchmark.h>
 
@@ -69,13 +68,11 @@ BENCHMARK(BM_SpecParseInstantiate)->Unit(benchmark::kMicrosecond);
 const char* const kVehicles[] = {"alpha", "beta", "gamma"};
 
 void BM_ManeuverPlatoon(benchmark::State& state) {
-    const auto domains = static_cast<std::size_t>(state.range(0));
     std::uint64_t events = 0;
     std::uint64_t maneuvers = 0;
     double beta_follow = 1.0;
     for (auto _ : state) {
         scenario::ScenarioBuilder builder(4242);
-        builder.domains(domains);
         for (const char* name : kVehicles) {
             scenario::presets::declare_platoon_follow_vehicle(builder, name);
             builder.trust(name, 14).platoon_candidate({name, 0.9, 24.0, 10.0, false});
@@ -95,7 +92,7 @@ void BM_ManeuverPlatoon(benchmark::State& state) {
         auto scenario = builder.build();
 
         const auto start = std::chrono::steady_clock::now();
-        scenario->run(Duration::sec(2), domains);
+        scenario->run(Duration::sec(2));
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
@@ -108,10 +105,6 @@ void BM_ManeuverPlatoon(benchmark::State& state) {
     state.counters["beta_follow"] = beta_follow;
 }
 BENCHMARK(BM_ManeuverPlatoon)
-    ->ArgName("domains")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -22,7 +22,7 @@
 //                                   //       misuse crash
 //     policy <p> [<p> ...];         // axis: steady cautious eager
 //     topology <t> [<t> ...];       // axis: dual_bus bridged mesh lossy_mesh
-//     domains <n> [<n> ...];        // axis: ECU domain counts, each in [1, 8]
+//     domains <n> [<n> ...];        // axis: ECU domain labels, each in [1, 8]
 //     seeds <lo>..<hi>;             // inclusive seed range
 //     learned <n><unit> [none];     // optional: learned monitor on every
 //                                   // vehicle, with this warm-up; "none"

@@ -293,8 +293,7 @@ void declare_cell_scenario(scenario::ScenarioBuilder& builder,
         }
     }
     // Off-grid script offsets (+11/13/17 us): never collide with the
-    // preset's periodic tasks at shared timestamps, so script-vs-task
-    // ordering cannot diverge between domain counts.
+    // preset's periodic tasks at shared timestamps.
     const std::int64_t total = cell.duration.count_ns();
     const auto form_at = sim::Duration::ns(total / 8 + 11'000);
     const auto weather_at = sim::Duration::ns(total / 4 + 13'000);

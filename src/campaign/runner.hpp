@@ -4,8 +4,8 @@
 // topology axes), run it for the cell's duration, and distil the outcome
 // into a CellVerdict. Everything here is deterministic in the cell alone:
 // two processes running the same cell produce byte-identical verdict JSON,
-// and so do runs at different domain counts (the verdict deliberately
-// omits partitioning detail).
+// and so do runs at different declared domain counts (the verdict omits
+// the domain label).
 
 #include <string>
 #include <vector>

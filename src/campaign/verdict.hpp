@@ -3,9 +3,9 @@
 // rendered as a single schema-stable JSON line. The verdict is the unit of
 // determinism — replaying a cell with the same seed must reproduce the JSON
 // byte-for-byte (and therefore its FNV-1a fingerprint), across worker
-// processes AND domain counts, which is why the domain count and raw
-// executed-event totals are deliberately NOT part of the verdict (they
-// describe the partitioning, not the simulated system).
+// processes AND declared domain counts, which is why the domain label and
+// raw executed-event totals are deliberately NOT part of the verdict (they
+// describe the run, not the simulated system).
 
 #include <cstdint>
 #include <string>

@@ -9,13 +9,8 @@
 // frame completing on `from` is re-queued on `to` after `forward_latency`
 // (the gateway ECU's store-and-forward processing time). Routing loops are
 // the caller's responsibility — two routes forwarding the same id range in
-// both directions will ping-pong.
-//
-// Sharding: a route may join buses living on different domains of one
-// ShardedKernel. The forward then crosses domains through the kernel's
-// mailboxes, and add_route() declares `forward_latency` as the ingress
-// domain's lookahead bound — gateway routes are exactly the links whose
-// latency defines how far the domains may safely race ahead of each other.
+// both directions will ping-pong. Both buses of a route run on one
+// simulator.
 
 #include <cstdint>
 #include <map>
@@ -40,10 +35,7 @@ public:
 
     /// Forward frames matching (id & mask) == (frame.id & mask) from `from`
     /// to `to`. `mask` 0 forwards everything. The buses must live on the
-    /// same simulator or on two domains of the same ShardedKernel; a
-    /// cross-domain route requires a positive forward latency, which is
-    /// declared as the ingress domain's lookahead. Controllers are created
-    /// lazily per bus.
+    /// same simulator. Controllers are created lazily per bus.
     void add_route(CanBus& from, CanBus& to, std::uint32_t id, std::uint32_t mask);
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -73,8 +65,8 @@ private:
     // its simulator keeps running simply drops the pending forwards instead
     // of dereferencing freed controllers.
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    std::uint64_t forwarded_ = 0; ///< counted on the ingress domain
-    std::uint64_t dropped_ = 0;   ///< counted on the egress domain
+    std::uint64_t forwarded_ = 0;
+    std::uint64_t dropped_ = 0;
 };
 
 } // namespace sa::can

@@ -75,8 +75,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
          "gateway route shadowed by an earlier id/mask on the same bus pair"},
         {"SCN002", Severity::Error, Layer::Scenario,
          "bus-to-bus routes form a forwarding cycle"},
-        {"SCN003", Severity::Error, Layer::Scenario,
-         "cross-domain link with zero forward latency (zero lookahead)"},
+        // SCN003 (zero-latency cross-domain link) is retired with the
+        // windowed kernel; its ID is not reused.
         {"SCN004", Severity::Error, Layer::Scenario,
          "domain pin out of range for the declared domain count"},
         {"SCN005", Severity::Error, Layer::Scenario,

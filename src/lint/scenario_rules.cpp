@@ -272,33 +272,15 @@ LintReport lint_scenario(const ScenarioShape& scenario) {
         lint_vehicle_into(vehicle, publishers, report);
     }
 
-    // SCN004 + domain assignment (mirrors ScenarioBuilder::build()'s
-    // round-robin over unpinned vehicles, in declaration order).
-    std::map<std::string, std::size_t> domain_of;
-    std::size_t round_robin = 0;
+    // SCN004: domain pins must name a declared domain.
     for (const VehicleShape& vehicle : scenario.vehicles) {
-        if (vehicle.domain_pin.has_value()) {
-            if (*vehicle.domain_pin >= scenario.num_domains) {
-                report.add("SCN004", "vehicle " + vehicle.name,
-                           format("pinned to domain %zu but the scenario "
-                                  "declares %zu domain(s)",
-                                  *vehicle.domain_pin, scenario.num_domains));
-                continue;
-            }
-            domain_of[vehicle.name] = *vehicle.domain_pin;
-        } else {
-            domain_of[vehicle.name] = round_robin++ % scenario.num_domains;
+        if (vehicle.domain_pin.has_value() &&
+            *vehicle.domain_pin >= scenario.num_domains) {
+            report.add("SCN004", "vehicle " + vehicle.name,
+                       format("pinned to domain %zu but the scenario "
+                              "declares %zu domain(s)",
+                              *vehicle.domain_pin, scenario.num_domains));
         }
-    }
-
-    // SCN003: a cross-domain link's forward latency becomes the ingress
-    // domain's lookahead window — zero means the sharded kernel cannot
-    // advance at all (BusGateway rejects it loudly, but only at build time).
-    if (scenario.v2v_enabled && scenario.num_domains > 1 &&
-        scenario.v2v_latency_ns <= 0) {
-        report.add("SCN003", "v2v channel",
-                   "zero latency with multiple domains leaves no lookahead "
-                   "window");
     }
 
     // Bridge checks + the scenario-wide forwarding graph.
@@ -318,7 +300,6 @@ LintReport lint_scenario(const ScenarioShape& scenario) {
         }
     }
     for (const GatewayShape& bridge : scenario.bridges) {
-        bool crosses_domains = false;
         for (const auto& route : bridge.routes) {
             // Bridge route keys are "vehicle:bus"; validate both endpoints.
             for (const std::string& endpoint : {route.from, route.to}) {
@@ -342,24 +323,10 @@ LintReport lint_scenario(const ScenarioShape& scenario) {
                                    "' of vehicle '" + vehicle + "'");
                 }
             }
-            const auto from_vehicle =
-                route.from.substr(0, route.from.find(':'));
-            const auto to_vehicle = route.to.substr(0, route.to.find(':'));
-            auto from_domain = domain_of.find(from_vehicle);
-            auto to_domain = domain_of.find(to_vehicle);
-            if (from_domain != domain_of.end() && to_domain != domain_of.end() &&
-                from_domain->second != to_domain->second) {
-                crosses_domains = true;
-            }
             edges.push_back(ForwardEdge{route.from, route.to, route.id,
                                         route.mask, "bridge " + bridge.name});
         }
         check_route_shadowing("(scenario)", bridge, report);
-        if (crosses_domains && bridge.forward_latency_ns <= 0) {
-            report.add("SCN003", "bridge " + bridge.name,
-                       "crosses ECU domains with zero forward latency — the "
-                       "ingress domain would have a zero lookahead window");
-        }
     }
 
     // SCN002: forwarding cycles with simultaneously satisfiable filters.

@@ -1,8 +1,8 @@
 #pragma once
 // Scenario-layer lint rules (SCN001-SCN007): topology checks the builders
 // cannot express as single-call preconditions — route shadowing and
-// forwarding cycles span declarations, domain/latency interactions span
-// vehicles, and monitor targets span subsystems. ScenarioBuilder::lint()
+// forwarding cycles span declarations, domain pins span the scenario, and
+// monitor targets span subsystems. ScenarioBuilder::lint()
 // feeds its declared state in here before build() commits anything to a
 // simulator.
 
@@ -17,7 +17,7 @@ namespace sa::lint {
 [[nodiscard]] LintReport lint_vehicle(const VehicleShape& vehicle);
 
 /// Lint the whole topology: every vehicle, plus domain pins (SCN004),
-/// cross-domain latency (SCN003), bridge references (SCN005) and
+/// bridge references (SCN005) and
 /// bus-to-bus forwarding cycles across gateways and bridges (SCN002).
 [[nodiscard]] LintReport lint_scenario(const ScenarioShape& scenario);
 

@@ -25,7 +25,6 @@ struct RouteShape {
 struct GatewayShape {
     std::string name;
     std::vector<RouteShape> routes;
-    long long forward_latency_ns = 0;
 };
 
 /// An ECU-bound monitor declaration ("thermal_guard", "deadline_monitor",
@@ -74,7 +73,6 @@ struct ScenarioShape {
     std::vector<VehicleShape> vehicles; ///< declaration order (round-robin order)
     std::vector<GatewayShape> bridges;  ///< routes use "vehicle:bus" keys
     bool v2v_enabled = false;
-    long long v2v_latency_ns = 0;
     /// Hard radio range of the medium in meters; 0 = unlimited (MSH001/002
     /// only fire on a finite range).
     double v2v_range_m = 0.0;

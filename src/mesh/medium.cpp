@@ -4,14 +4,12 @@
 #include <cmath>
 #include <limits>
 
-#include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
 
 namespace sa::v2v {
 namespace {
 
-/// splitmix64 finalizer: the avalanche stage used for the per-domain seed
-/// derivation, reused here to mix the loss-draw hash state.
+/// splitmix64 finalizer: mixes the loss-draw hash state.
 std::uint64_t mix64(std::uint64_t x) noexcept {
     x += 0x9E3779B97F4A7C15ULL;
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -55,30 +53,6 @@ Medium::Medium(sim::Simulator& simulator, MediumConfig config)
     SA_REQUIRE(config_.range_m >= 0.0, "radio range must be non-negative");
     SA_REQUIRE(config_.fading == Fading::None || config_.range_m > 0.0,
                "a fading model needs a finite radio range (range_m > 0)");
-    // A one-domain kernel has no other domain to wait for, so a zero
-    // latency is legal there; a positive one still bounds its windows,
-    // keeping the window count equal at every domain count.
-    sim::ShardedKernel* kernel = simulator_.shard();
-    if (kernel != nullptr &&
-        (kernel->num_domains() > 1 || config_.latency.count_ns() > 0)) {
-        SA_REQUIRE(config_.latency.count_ns() > 0,
-                   "a V2V medium on a sharded kernel needs a positive "
-                   "latency (it becomes every domain's lookahead)");
-        // Any domain may carry a transmitter, so the frame latency bounds
-        // every domain's lookahead: it IS how far apart the domains' clocks
-        // may drift within a window.
-        for (std::size_t d = 0; d < kernel->num_domains(); ++d) {
-            kernel->declare_lookahead(d, config_.latency);
-        }
-    }
-}
-
-void Medium::require_quiescent(const char* operation) const {
-    SA_REQUIRE(sim::detail::executing_domain() == nullptr,
-               std::string("Medium::") + operation +
-                   " called from inside a sharded window: membership and "
-                   "positions are read by every domain's transmit(); mutate "
-                   "only between runs or from a script barrier");
 }
 
 // The index stays sorted by position; equal positions keep attach/move
@@ -102,24 +76,19 @@ void Medium::index_erase(const Endpoint* endpoint) {
 
 void Medium::attach(const std::string& name, sim::Simulator& home,
                     Receiver receiver, double position_m) {
-    require_quiescent("attach");
     SA_REQUIRE(static_cast<bool>(receiver), "receiver must be callable");
     SA_REQUIRE(std::isfinite(position_m), "endpoint position must be finite");
     SA_REQUIRE(!endpoints_.contains(name), "duplicate medium endpoint: " + name);
-    SA_REQUIRE(&home == &simulator_ || (simulator_.shard() != nullptr &&
-                                        home.shard() == simulator_.shard()),
-               "endpoint home must be the medium's simulator or a domain of "
-               "the same sharded kernel");
+    SA_REQUIRE(&home == &simulator_, "endpoint home must be the medium's simulator");
     const auto it = endpoints_
-                        .emplace(name, Endpoint{&home, std::move(receiver),
-                                                position_m, next_id_++})
+                        .emplace(name, Endpoint{std::move(receiver), position_m,
+                                                next_id_++})
                         .first;
     index_insert(Slot{position_m, &it->first, &it->second});
     live_.insert(it->second.id, &it->second);
 }
 
 void Medium::detach(const std::string& name) {
-    require_quiescent("detach");
     const auto it = endpoints_.find(name);
     if (it == endpoints_.end()) {
         return;
@@ -130,7 +99,6 @@ void Medium::detach(const std::string& name) {
 }
 
 void Medium::move(const std::string& name, double position_m) {
-    require_quiescent("move");
     auto it = endpoints_.find(name);
     SA_REQUIRE(it != endpoints_.end(), "unknown medium endpoint: " + name);
     SA_REQUIRE(std::isfinite(position_m), "endpoint position must be finite");
@@ -177,7 +145,7 @@ double Medium::loss_at(double distance_m) const noexcept {
 double Medium::rssi_at(double distance_m) noexcept {
     // Log-distance path loss: -40 dBm reference at 1 m, exponent 2.2 (open
     // road with some ground reflection). Purely a function of distance, so
-    // every run and every domain count sees the same estimate.
+    // every run sees the same estimate.
     const double d = distance_m < 1.0 ? 1.0 : distance_m;
     return -40.0 - 10.0 * 2.2 * std::log10(d);
 }
@@ -211,16 +179,10 @@ void Medium::transmit(Frame frame) {
                "transmitter not attached to the medium: " + frame.transmitter);
     SA_REQUIRE(frame.ttl >= 1, "frame TTL exhausted before transmit");
     ++transmissions_;
-    // The sending context: the domain whose window is executing, or the
-    // medium's own simulator from quiescent contexts. Only its clock is
-    // touched — loss draws are stateless hashes, never an RNG stream, so
-    // the delivery trace is identical at every domain count.
-    sim::Simulator* executing = sim::detail::executing_domain();
-    sim::Simulator& context = executing != nullptr ? *executing : simulator_;
     if (frame.hops == 0) {
-        frame.sent = context.now();
+        frame.sent = simulator_.now();
     }
-    const Time deliver_at = context.now() + config_.latency;
+    const Time deliver_at = simulator_.now() + config_.latency;
     const double tx_position = tx->second.position_m;
 
     // Collect the receivers that draw: only the named hop of an addressed
@@ -250,8 +212,8 @@ void Medium::transmit(Frame frame) {
                 candidates_.push_back(*it);
             }
         }
-        // Post in name order, as a scan of the name-keyed map would: the
-        // order of same-time deliveries on one domain depends on it.
+        // Schedule in name order, as a scan of the name-keyed map would: the
+        // order of same-time deliveries depends on it.
         std::sort(candidates_.begin(), candidates_.end(),
                   [](const Slot& a, const Slot& b) { return *a.name < *b.name; });
         losses_ += endpoints_.size() - 1 - candidates_.size();
@@ -268,14 +230,14 @@ void Medium::transmit(Frame frame) {
         const double rssi = rssi_at(distance);
         // Resolve the receiver at delivery time by its attach id, not
         // capture it: an endpoint that detached while the frame was in
-        // flight (quiescent contexts only) silently misses the frame, even
-        // if another endpoint has since attached under the same name.
-        sim::post(*candidate.endpoint->home, deliver_at,
-                  [this, id = candidate.endpoint->id, frame, rssi] {
-                      if (Endpoint* rx = live_.find(id)) {
-                          rx->receiver(frame, rssi);
-                      }
-                  });
+        // flight silently misses the frame, even if another endpoint has
+        // since attached under the same name.
+        (void)simulator_.schedule_at(
+            deliver_at, [this, id = candidate.endpoint->id, frame, rssi] {
+                if (Endpoint* rx = live_.find(id)) {
+                    rx->receiver(frame, rssi);
+                }
+            });
     }
 }
 

@@ -8,37 +8,21 @@
 // every frame. Everything protocol-shaped (neighbor tables, announcements,
 // relaying) lives one layer up in mesh::MeshStack.
 //
-// API redesign: there is exactly ONE attach surface —
-// attach(name, home, receiver) — and no implicit home-simulator rule. Every
-// endpoint names the simulator its receiver runs on (its vehicle's domain
-// under sharding, the only simulator otherwise); delivery is via sim::post,
-// so a sharded run stays deterministic.
+// There is exactly ONE attach surface — attach(name, home, receiver) —
+// where `home` is the simulator the receiver runs on, which must be the
+// medium's own. Deliveries are events on that simulator.
 //
-// Sharding. The Medium is the canonical cross-domain link: its latency is
-// declared as every domain's lookahead bound (how far apart the domains'
-// clocks may drift within a window). transmit() runs from every domain's
-// window; membership and positions are therefore frozen while a sharded
-// window is executing, since a change made by one domain would be seen by
-// the domains that run after it but not by those before it, breaking
-// byte-identity across domain counts. attach()/detach()/move() from inside
-// a window is a loud ContractViolation (mirroring the schedule_periodic
-// foreign-domain contract); mutate only between runs or from script
-// barriers.
-//
-// Determinism across domain counts. Loss draws do NOT use the per-domain RNG
-// streams (domains 1+ are splitmix64-derived, so their streams differ
-// between 1/2/4-domain runs of the same seed). Each draw is a stateless hash
-// of (medium seed, transmitter, receiver, send time, origin, seq, kind): no
-// shared mutable state, reproducible from the seed, and byte-identical
-// regardless of how vehicles are partitioned onto domains — the property
-// the mesh determinism suite locks in.
+// Loss draws do not use the simulator's RNG stream. Each draw is a
+// stateless hash of (medium seed, transmitter, receiver, send time, origin,
+// seq, kind): no shared mutable state, reproducible from the seed, and
+// independent of every other consumer of randomness in the scenario.
 //
 // Range index. Beside the name-keyed map the medium keeps its endpoints in a
 // position-sorted vector, maintained incrementally by attach()/detach()/
 // move(). A broadcast binary-searches the window [tx - range, tx + range]
 // and visits only the endpoints inside it, so a transmission costs
-// O(log N + receivers in range). It posts them in name order (the map
-// order), which fixes the order of same-time deliveries on a domain.
+// O(log N + receivers in range). It schedules them in name order (the map
+// order), which fixes the order of same-time deliveries.
 // Members outside the window are counted as losses without being visited.
 
 #include <cstdint>
@@ -92,8 +76,7 @@ enum class Fading : std::uint8_t {
 struct MediumConfig {
     /// Distance-independent base loss probability in [0, 1].
     double loss_probability = 0.0;
-    /// Constant propagation + stack latency; becomes every domain's
-    /// lookahead on a sharded kernel (must be > 0 there).
+    /// Constant propagation + stack latency (>= 0).
     Duration latency = Duration::ms(20);
     /// Hard radio range in meters; 0 = unlimited (every pair in range).
     double range_m = 0.0;
@@ -116,18 +99,14 @@ public:
     Medium(const Medium&) = delete;
     Medium& operator=(const Medium&) = delete;
 
-    /// Attach an endpoint: delivered frames execute on `home` (its vehicle's
-    /// domain under sharding). `home` must be the medium's simulator or a
-    /// domain of the same sharded kernel; `position_m` must be finite.
-    /// Quiescent contexts only.
+    /// Attach an endpoint: delivered frames execute on `home`, which must be
+    /// the medium's simulator; `position_m` must be finite.
     void attach(const std::string& name, sim::Simulator& home, Receiver receiver,
                 double position_m = 0.0);
     /// Detach an endpoint. Frames still in flight to it are dropped, also
     /// when an endpoint of the same name attaches before their delivery.
-    /// Quiescent contexts only.
     void detach(const std::string& name);
-    /// Move an endpoint along the track. Quiescent contexts only (script
-    /// barriers are the sanctioned way to move vehicles mid-run).
+    /// Move an endpoint along the track.
     void move(const std::string& name, double position_m);
 
     [[nodiscard]] bool attached(const std::string& name) const;
@@ -137,9 +116,9 @@ public:
 
     /// Transmit one frame from frame.transmitter (which must be attached).
     /// Every other endpoint — or only frame.next_hop when set — draws an
-    /// independent loss and receives the frame latency later on its home.
-    /// Fresh frames (hops == 0) are stamped with the sending context's
-    /// clock; relayed frames keep their origination timestamp.
+    /// independent loss and receives the frame latency later. Fresh frames
+    /// (hops == 0) are stamped with the current time; relayed frames keep
+    /// their origination timestamp.
     void transmit(Frame frame);
 
     /// Convenience: a single-hop CAM broadcast frame (the old V2vBeacon).
@@ -163,7 +142,6 @@ public:
 
 private:
     struct Endpoint {
-        sim::Simulator* home;
         Receiver receiver;
         double position_m;
         std::int64_t id; ///< per-attach identity that in-flight frames resolve
@@ -176,12 +154,8 @@ private:
         Endpoint* endpoint;
     };
 
-    /// Loud ContractViolation when called from inside a sharded window —
-    /// every domain's transmit() reads the membership and positions, so a
-    /// mid-window change would break byte-identity across domain counts.
-    void require_quiescent(const char* operation) const;
     /// Stateless loss draw in [0, 1): a hash of the pair, the send instant
-    /// and the frame identity. Identical across domain counts by design.
+    /// and the frame identity.
     [[nodiscard]] double loss_draw(const Frame& frame,
                                    const std::string& receiver) const noexcept;
     void index_insert(const Slot& slot);
@@ -194,7 +168,6 @@ private:
     util::FlatPtrMap64<Endpoint*> live_; ///< attach id -> endpoint
     std::int64_t next_id_ = 0;
     std::vector<Slot> candidates_;       ///< transmit()'s receiver scratch
-    // Order-free sums over every domain's transmissions.
     std::uint64_t transmissions_ = 0;
     std::uint64_t deliveries_ = 0;
     std::uint64_t losses_ = 0;

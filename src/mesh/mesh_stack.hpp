@@ -22,13 +22,11 @@
 //    addressed (Frame::next_hop), so a relayed CAM crosses the mesh as a
 //    chain of unicasts, not a flood.
 //
-// Determinism. All mutable state lives on the stack's home simulator: the
-// medium posts every delivery to the home domain, the announcement beacon is
-// a home-domain periodic, and aging keys off the home clock. Under sharding
-// the state is therefore touched by its home domain's windows only, and
-// because the medium's loss draws are stateless hashes, neighbor tables,
-// chosen routes and relay traces reproduce byte-identically at every domain
-// count.
+// Determinism. All mutable state is touched from events on the stack's
+// home simulator: medium deliveries, the announcement beacon and aging,
+// which keys off the home clock. Because the medium's loss draws are
+// stateless hashes, neighbor tables, chosen routes and relay traces
+// reproduce byte-identically from the seed.
 
 #include <cstdint>
 #include <functional>
@@ -97,11 +95,10 @@ public:
     using CamHandler = std::function<void(const v2v::Frame&)>;
 
     /// Attaches `name` to the medium at `position_m` and arms the periodic
-    /// self-announcement on `home`. Build-time only (quiescent contexts):
-    /// the medium's attach contract applies.
+    /// self-announcement on `home`, which must be the medium's simulator.
     MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home,
               MeshConfig config = {}, double position_m = 0.0);
-    /// Cancels the beacon and detaches from the medium (quiescent only).
+    /// Cancels the beacon and detaches from the medium.
     ~MeshStack();
 
     MeshStack(const MeshStack&) = delete;
@@ -110,8 +107,7 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] const MeshConfig& config() const noexcept { return config_; }
 
-    /// Deliver CAM payloads to `handler` (home-domain execution). Set it
-    /// before the run (or from a script barrier).
+    /// Deliver CAM payloads to `handler`, called from delivery events.
     void on_cam(CamHandler handler) { cam_handler_ = std::move(handler); }
 
     /// Single-hop CAM broadcast (the pre-mesh beacon behaviour): every
@@ -137,11 +133,10 @@ public:
     }
 
     /// Canonical text rendering of the neighbor table and the chosen route
-    /// per known origin — the byte-identical determinism fingerprint the
-    /// mesh suite compares across domain counts.
+    /// per known origin — the determinism fingerprint of the mesh suites.
     [[nodiscard]] std::string table_str() const;
 
-    // --- counters (home-domain writes; read when quiescent) ----------------
+    // --- counters -------------------------------------------------------------
     [[nodiscard]] std::uint64_t announces_sent() const noexcept {
         return announces_sent_;
     }

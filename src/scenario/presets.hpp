@@ -5,7 +5,7 @@
 // preset follows the dual-bus zonal shape of examples/platoon_dual_bus.cpp
 // (sensor zone -> gateway -> actuation zone) minus the example's acc_app
 // application component, which rides on the services but adds nothing to
-// the CAN chain the sharded suites measure.
+// the CAN chain the kernel suites measure.
 
 #include <string>
 
@@ -22,7 +22,7 @@ inline constexpr std::uint32_t kDualBusObjectFrameId = 0x120;
 /// brake-control contracts, rate IDS, the ACC skill graph, the full layer
 /// stack and a 500 ms self-model. Deterministic: no task randomises its
 /// execution time and no bus has a non-zero error rate, so runs reproduce
-/// bit-for-bit from a seed (the sharded determinism suite depends on this).
+/// bit-for-bit from a seed (the kernel's golden-hash tests depend on this).
 void declare_dual_bus_platoon_vehicle(ScenarioBuilder& builder,
                                       const std::string& name);
 
@@ -30,7 +30,7 @@ void declare_dual_bus_platoon_vehicle(ScenarioBuilder& builder,
 /// running the registry's platoon_follow skill graph with the unified
 /// degradation policy instead of the ACC graph. The follow skill degrades
 /// through capability downgrades (fog scripts, sensor faults), which is what
-/// the automatic join/leave/split maneuvers key on — shared by the sharded
+/// the automatic join/leave/split maneuvers key on — shared by the kernel
 /// determinism suite and bench/skill_graph_sweep.cpp so they measure one
 /// workload.
 void declare_platoon_follow_vehicle(ScenarioBuilder& builder,

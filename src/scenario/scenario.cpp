@@ -5,14 +5,14 @@
 namespace sa::scenario {
 
 Scenario::Scenario(std::uint64_t seed, std::size_t num_domains)
-    : kernel_(num_domains, seed), rng_(seed) {}
+    : kernel_(seed), num_domains_(num_domains), rng_(seed) {}
 
 std::size_t Scenario::run_until(sim::Time until) { return kernel_.run_until(until); }
 
 std::size_t Scenario::run(sim::Duration until, std::size_t num_domains) {
     SA_REQUIRE(num_domains == 0 || num_domains == this->num_domains(),
-               "num_domains disagrees with the partition declared at build "
-               "time; declare domains(n) on the ScenarioBuilder");
+               "num_domains disagrees with the domain count declared at "
+               "build time; declare domains(n) on the ScenarioBuilder");
     return run_until(sim::Time(until.count_ns()));
 }
 
@@ -101,8 +101,7 @@ void Scenario::schedule_maneuver_check(sim::Time at) {
 void Scenario::run_maneuver_check() {
     // Runs at a script barrier: reading any vehicle's ability graph and
     // mutating the platoon is safe, and every decision draws from the
-    // scenario RNG — the whole evaluation reproduces bit-for-bit across
-    // domain counts.
+    // scenario RNG.
     //
     // A dissolved platoon can never maneuver again (join requires a formed
     // platoon), so the engine parks instead of burning a global barrier per
@@ -187,10 +186,7 @@ void Scenario::set_weather(const vehicle::WeatherCondition& weather) {
 
 ScenarioReport Scenario::report() const {
     ScenarioReport report;
-    // progress(), not now(): after stop() or a window exception the
-    // kernel's barrier time lags the domain clocks, and a partial report
-    // must reflect how far the run actually got.
-    report.at = kernel_.progress();
+    report.at = kernel_.now();
     report.vehicles.reserve(order_.size());
     for (const auto& name : order_) {
         report.vehicles.push_back(vehicles_.at(name)->report());

@@ -2,7 +2,7 @@
 // sa::scenario — the sanctioned composition root. A Vehicle owns one
 // composed self-aware stack (model domain, execution domain, monitors,
 // layer stack, skills, optional closed-loop driving); a Scenario owns the
-// simulation kernel (a sim::ShardedKernel with one or more ECU domains)
+// simulation kernel (a sim::Kernel: one event queue plus script barriers)
 // plus N vehicles and the cooperation substrate (trust, V2V, platoon
 // formation) and exposes a single run()/report() surface.
 //
@@ -33,7 +33,7 @@
 #include "rte/can_gateway.hpp"
 #include "rte/fault_injection.hpp"
 #include "rte/rte.hpp"
-#include "sim/sharded_kernel.hpp"
+#include "sim/kernel.hpp"
 #include "skills/ability_graph.hpp"
 #include "skills/degradation.hpp"
 #include "skills/degradation_policy.hpp"
@@ -194,24 +194,21 @@ private:
     std::unique_ptr<core::SelfModel> self_;
 };
 
-/// A composed scenario: the simulation kernel (sharded across the ECU
-/// domains the builder declared, one by default), its vehicles and the
-/// cooperation substrate, behind one run()/report() surface.
+/// A composed scenario: the simulation kernel, its vehicles and the
+/// cooperation substrate, behind one run()/report() surface. Every vehicle
+/// runs on the kernel's one simulator; the ECU domains the builder declared
+/// are validated placement labels only.
 class Scenario {
 public:
     Scenario(const Scenario&) = delete;
     Scenario& operator=(const Scenario&) = delete;
 
-    /// The control simulator: domain 0 of the kernel. Events scheduled here
-    /// before run() (beacon drivers, measurement probes) behave identically
-    /// at every domain count.
-    [[nodiscard]] sim::Simulator& simulator() { return kernel_.domain(0); }
+    /// The simulator every vehicle runs on.
+    [[nodiscard]] sim::Simulator& simulator() { return kernel_.simulator(); }
     /// The kernel (its counters: executed_events(), windows(), ...).
-    [[nodiscard]] sim::ShardedKernel& kernel() noexcept { return kernel_; }
-    /// Number of ECU domains.
-    [[nodiscard]] std::size_t num_domains() const noexcept {
-        return kernel_.num_domains();
-    }
+    [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
+    /// Number of declared ECU domains (ScenarioBuilder::domains()).
+    [[nodiscard]] std::size_t num_domains() const noexcept { return num_domains_; }
     /// Scenario-level RNG (platoon formation, ad-hoc noise); seeded with the
     /// builder seed, independent of the simulator's own engine.
     [[nodiscard]] RandomEngine& rng() noexcept { return rng_; }
@@ -237,7 +234,7 @@ public:
 
     // --- cross-vehicle bridges ---------------------------------------------
     /// Scenario-level CAN gateway declared via ScenarioBuilder::bridge():
-    /// joins buses of different vehicles (cross-domain when sharded).
+    /// joins buses of different vehicles.
     [[nodiscard]] bool has_bridge(const std::string& name) const;
     [[nodiscard]] can::BusGateway& bridge(const std::string& name);
     /// Form a platoon from the builder-declared candidates (or an explicit
@@ -272,23 +269,21 @@ public:
     std::size_t run_until(sim::Time until);
     /// Run until absolute simulation time `until` (from time zero).
     ///
-    /// `num_domains` is a cross-check knob, not a re-partitioner: 0 (the
-    /// default) runs whatever partition was declared at build time, and any
-    /// non-zero value is REQUIREd to equal it (1 for the default partition)
-    /// — the vehicle→domain binding is fixed when the vehicles are
-    /// composed, so call sites that state a count fail loudly when the
-    /// build disagrees.
+    /// `num_domains` is a cross-check knob: 0 (the default) accepts the
+    /// domain count declared at build time, and any non-zero value is
+    /// REQUIREd to equal it (1 by default), so call sites that state a
+    /// count fail loudly when the build disagrees.
     std::size_t run(sim::Duration until, std::size_t num_domains = 0);
     std::size_t run_for(sim::Duration span);
-    /// Thread-safe stop request: the kernel returns at its next barrier,
-    /// leaving events queued.
+    /// Thread-safe stop request: the kernel returns after the current event,
+    /// leaving the rest queued.
     void stop() noexcept { kernel_.stop(); }
 
     /// Aggregate counters at the current point of the run. Valid after a
     /// completed run(), after stop(), and after a run() that threw (a
     /// scripted fault injection raising a contract violation): the report
     /// then covers the partial run up to the failure, with `at` at the
-    /// furthest domain clock.
+    /// failing event's time.
     [[nodiscard]] ScenarioReport report() const;
 
 private:
@@ -296,15 +291,16 @@ private:
     Scenario(std::uint64_t seed, std::size_t num_domains);
 
     /// Arm the maneuver engine: one policy evaluation at absolute time `at`
-    /// at a script barrier (every domain quiescent), rescheduling itself
+    /// at a script barrier, rescheduling itself
     /// every check_period — the mechanism of ScenarioBuilder::at().
     void schedule_maneuver_check(sim::Time at);
-    /// One policy evaluation (runs quiescent; may touch any vehicle).
+    /// One policy evaluation (a script; may touch any vehicle).
     void run_maneuver_check();
 
-    /// Declared first: vehicles cancel their periodics on their domain's
+    /// Declared first: vehicles cancel their periodics on the kernel's
     /// simulator when destroyed, so the kernel must outlive them.
-    sim::ShardedKernel kernel_;
+    sim::Kernel kernel_;
+    std::size_t num_domains_;
     RandomEngine rng_;
     platoon::TrustManager trust_;
     platoon::PlatoonConfig platoon_config_;

@@ -102,7 +102,6 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     lint::ScenarioShape shape;
     shape.num_domains = num_domains_;
     shape.v2v_enabled = v2v_enabled_;
-    shape.v2v_latency_ns = v2v_config_.latency.count_ns();
     shape.v2v_range_m = v2v_config_.range_m;
     shape.duration_hint_ns = duration_hint_.count_ns();
     for (const auto& name : order_) {
@@ -118,7 +117,6 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     for (const auto& spec : bridges_) {
         lint::GatewayShape bridge;
         bridge.name = spec.name;
-        bridge.forward_latency_ns = spec.forward_latency.count_ns();
         for (const auto& route : spec.routes) {
             bridge.routes.push_back(lint::RouteShape{
                 route.from_vehicle + ":" + route.from_bus,
@@ -167,23 +165,13 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
                    "strict scenario lint failed:\n" + report.str());
     }
     auto scenario = std::unique_ptr<Scenario>(new Scenario(seed_, num_domains_));
-    std::size_t round_robin = 0;
     for (const auto& name : order_) {
         auto it = std::find_if(builders_.begin(), builders_.end(),
                                [&](const VehicleBuilder& b) { return b.name() == name; });
         SA_ASSERT(it != builders_.end(), "builder list out of sync");
-        // Pinned vehicles must not consume round-robin slots: only unpinned
-        // ones advance the counter, so "round-robin in declaration order
-        // unless pinned" means exactly that.
-        std::size_t domain;
-        if (it->assigned_domain().has_value()) {
-            domain = *it->assigned_domain();
-        } else {
-            domain = round_robin++ % num_domains_;
-        }
-        SA_REQUIRE(domain < num_domains_,
+        SA_REQUIRE(it->assigned_domain().value_or(0) < num_domains_,
                    "vehicle '" + name + "' pinned to domain out of range");
-        scenario->vehicles_.emplace(name, it->build(scenario->kernel_.domain(domain)));
+        scenario->vehicles_.emplace(name, it->build(scenario->simulator()));
         scenario->order_.push_back(name);
     }
     for (const auto& spec : bridges_) {
@@ -247,8 +235,8 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     }
     Scenario* raw = scenario.get();
     for (const auto& script : scripts_) {
-        // Scripts are global barriers: they run at exactly `when` with every
-        // domain quiescent, so they may touch any vehicle.
+        // Scripts run at exactly `when`, between events, so they may touch
+        // any vehicle.
         scenario->kernel_.schedule_script(
             sim::Time(script.when.count_ns()),
             [raw, action = script.action] { action(*raw); });

@@ -26,8 +26,7 @@ struct BridgeRoute {
 };
 
 /// A named scenario-level CAN gateway joining buses of different vehicles
-/// (a backbone link). Under sharding its routes cross domains and the
-/// forward latency becomes the ingress domains' lookahead.
+/// (a backbone link).
 struct BridgeSpec {
     std::string name;
     std::vector<BridgeRoute> routes;
@@ -43,10 +42,9 @@ public:
     /// the reference and chain configuration across statements.
     VehicleBuilder& vehicle(const std::string& name);
 
-    /// Partition the scenario into `n` ECU domains (sim::ShardedKernel).
-    /// Vehicles are assigned round-robin in declaration order unless pinned
-    /// via VehicleBuilder::domain(). 1 (the default) puts everything in one
-    /// domain. Every domain's windows run on the calling thread.
+    /// Declare `n` ECU domains (1 by default, must be >= 1). Domains are
+    /// placement labels: VehicleBuilder::domain() pins must lie below `n`,
+    /// and every vehicle runs on the one simulator whatever its domain.
     ScenarioBuilder& domains(std::size_t n);
 
     /// Declare a scenario-level bridge joining buses of different vehicles.
@@ -67,13 +65,13 @@ public:
     /// Manage a platoon over the declared candidates with automatic
     /// join/leave/split maneuvers driven by the members' skill-graph levels:
     /// the maneuver engine evaluates `policy` every check_period at a
-    /// script barrier (deterministic across domain counts). Form the platoon
-    /// with Scenario::form_managed_platoon() (directly or from a script).
+    /// script barrier. Form the platoon with
+    /// Scenario::form_managed_platoon() (directly or from a script).
     ScenarioBuilder& platoon_maneuvers(platoon::ManeuverPolicy policy);
 
     // --- scripted events ----------------------------------------------------
     /// Run `action` at absolute simulation time `when`, at a script barrier
-    /// (every domain quiescent; sim::ShardedKernel::schedule_script()).
+    /// (between events; sim::Kernel::schedule_script()).
     ScenarioBuilder& at(sim::Duration when, std::function<void(Scenario&)> action);
 
     /// Declare how long the scenario is intended to run. Purely a lint

@@ -344,7 +344,6 @@ void VehicleBuilder::describe(lint::VehicleShape& shape) const {
     for (const auto& gateway : gateways_) {
         lint::GatewayShape out;
         out.name = gateway.name;
-        out.forward_latency_ns = gateway.forward_latency.count_ns();
         for (const auto& route : gateway.routes) {
             out.routes.push_back(lint::RouteShape{route.from_bus, route.to_bus,
                                                   route.id, route.mask});

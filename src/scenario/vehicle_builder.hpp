@@ -62,10 +62,10 @@ public:
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-    // --- sharding -----------------------------------------------------------
-    /// Pin this vehicle (all its buses, ECUs and periodics) to one ECU
-    /// domain of a sharded scenario (ScenarioBuilder::domains(n)). Without a
-    /// pin, vehicles are assigned round-robin in declaration order.
+    // --- placement ----------------------------------------------------------
+    /// Label this vehicle with one of the scenario's ECU domains
+    /// (ScenarioBuilder::domains(n)); the build REQUIREs `index` < n. The
+    /// label does not change where the vehicle runs.
     VehicleBuilder& domain(std::size_t index);
     [[nodiscard]] std::optional<std::size_t> assigned_domain() const noexcept {
         return domain_;

@@ -6,51 +6,37 @@
 
 namespace sa::sim {
 
-EventQueue::Bucket* EventQueue::acquire_bucket(std::int64_t at) {
-    // Pool recycling keeps the bucket's items CAPACITY from its previous
-    // life; only the logical state is reset here.
-    Bucket* bucket = bucket_pool_.acquire();
-    bucket->at = at;
-    bucket->next = 0;
-    bucket->items.clear();
-    by_time_.insert(at, bucket);
-    heap_.push_back(bucket);
-    std::push_heap(heap_.begin(), heap_.end(), &EventQueue::bucket_after);
-    last_bucket_ = bucket;
-    return bucket;
-}
-
-void EventQueue::retire_front_bucket() {
-    Bucket* bucket = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), &EventQueue::bucket_after);
-    heap_.pop_back();
-    by_time_.erase(bucket->at);
-    bucket->items.clear();
-    bucket->next = 0;
-    if (last_bucket_ == bucket) {
-        last_bucket_ = nullptr;
-    }
-    bucket_pool_.release(bucket);
-}
-
 std::uint32_t EventQueue::acquire_slot() {
-    if (!free_slots_.empty()) {
-        const std::uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
+    if (free_slots_ != kNoSlot) {
+        const std::uint32_t slot = free_slots_;
+        free_slots_ = slots_[slot].next;
         return slot;
     }
-    slots_.push_back(Slot{});
-    // Keep the free list's capacity >= total slots so release_slot (called
-    // from the noexcept clear()/destructor path) never needs to allocate.
-    free_slots_.reserve(slots_.capacity());
+    slots_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void EventQueue::release_slot(std::uint32_t slot) noexcept {
     Slot& s = slots_[slot];
-    s.live = false;
     ++s.generation; // stale handles can never match this slot again
-    free_slots_.push_back(slot);
+    s.next = free_slots_;
+    free_slots_ = slot;
+}
+
+void EventQueue::release_bucket(Bucket* bucket) noexcept {
+    bucket->next_free = free_buckets_;
+    free_buckets_ = bucket;
+}
+
+void EventQueue::retire_front_bucket() noexcept {
+    Bucket* bucket = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), &EventQueue::bucket_after);
+    heap_.pop_back();
+    by_time_.erase(bucket->at);
+    if (last_bucket_ == bucket) {
+        last_bucket_ = nullptr;
+    }
+    release_bucket(bucket);
 }
 
 EventHandle EventQueue::push(Time at, Action action) {
@@ -59,16 +45,29 @@ EventHandle EventQueue::push(Time at, Action action) {
     Bucket* bucket = (last_bucket_ != nullptr && last_bucket_->at == at_ns)
                          ? last_bucket_
                          : by_time_.find(at_ns);
-    if (bucket == nullptr) {
-        bucket = acquire_bucket(at_ns);
-    } else {
-        last_bucket_ = bucket;
-    }
     const std::uint32_t slot = acquire_slot();
-    slots_[slot].live = true;
-    bucket->items.emplace_back(std::move(action), slot);
+    Slot& s = slots_[slot];
+    s.action = std::move(action);
+    s.next = kNoSlot;
+    if (bucket == nullptr) {
+        if (free_buckets_ != nullptr) {
+            bucket = free_buckets_;
+            free_buckets_ = bucket->next_free;
+        } else {
+            bucket = &buckets_.emplace_back();
+        }
+        bucket->at = at_ns;
+        bucket->head = slot;
+        by_time_.insert(at_ns, bucket);
+        heap_.push_back(bucket);
+        std::push_heap(heap_.begin(), heap_.end(), &EventQueue::bucket_after);
+    } else {
+        slots_[bucket->tail].next = slot;
+    }
+    bucket->tail = slot;
+    last_bucket_ = bucket;
     ++live_;
-    return EventHandle(slot + 1, slots_[slot].generation);
+    return EventHandle(slot + 1, s.generation);
 }
 
 bool EventQueue::cancel(EventHandle handle) {
@@ -80,26 +79,38 @@ bool EventQueue::cancel(EventHandle handle) {
         return false;
     }
     Slot& s = slots_[slot];
-    if (!s.live || s.generation != handle.generation_) {
+    if (!s.action || s.generation != handle.generation_) {
         return false; // already fired, already cancelled, or slot reused
     }
-    s.live = false; // the action itself is reaped when its bucket drains
+    s.action = nullptr; // the dead slot is unlinked when its bucket drains
     --live_;
     return true;
 }
 
-void EventQueue::prune_front() {
+void EventQueue::prune_front() noexcept {
     while (!heap_.empty()) {
         Bucket* bucket = heap_.front();
-        while (bucket->next < bucket->items.size()) {
-            Item& item = bucket->items[bucket->next];
-            if (slots_[item.slot].live) {
+        while (bucket->head != kNoSlot) {
+            const std::uint32_t slot = bucket->head;
+            if (slots_[slot].action) {
                 return; // front is a live event
             }
-            item.action = nullptr; // reap the cancelled action eagerly
-            release_slot(item.slot);
-            ++bucket->next;
+            bucket->head = slots_[slot].next;
+            release_slot(slot);
         }
+        retire_front_bucket();
+    }
+}
+
+void EventQueue::take_front(Popped& out) noexcept {
+    Bucket* bucket = heap_.front();
+    const std::uint32_t slot = bucket->head;
+    out.at = Time(bucket->at);
+    out.action = std::move(slots_[slot].action);
+    bucket->head = slots_[slot].next;
+    release_slot(slot);
+    --live_;
+    if (bucket->head == kNoSlot) {
         retire_front_bucket();
     }
 }
@@ -114,51 +125,31 @@ Time EventQueue::next_time() const {
 EventQueue::Popped EventQueue::pop() {
     prune_front();
     SA_REQUIRE(!heap_.empty(), "pop on empty queue");
-    Bucket* bucket = heap_.front();
-    Item& item = bucket->items[bucket->next];
-    Popped out{Time(bucket->at), std::move(item.action)};
-    item.action = nullptr;
-    release_slot(item.slot);
-    ++bucket->next;
-    --live_;
-    if (bucket->next == bucket->items.size()) {
-        retire_front_bucket();
-    }
+    Popped out;
+    take_front(out);
     return out;
 }
 
 bool EventQueue::pop_until(Time until, Popped& out) {
     prune_front();
-    if (heap_.empty()) {
+    if (heap_.empty() || heap_.front()->at > until.ns()) {
         return false;
     }
-    Bucket* bucket = heap_.front();
-    if (bucket->at > until.ns()) {
-        return false;
-    }
-    Item& item = bucket->items[bucket->next];
-    out.at = Time(bucket->at);
-    out.action = std::move(item.action);
-    item.action = nullptr;
-    release_slot(item.slot);
-    ++bucket->next;
-    --live_;
-    if (bucket->next == bucket->items.size()) {
-        retire_front_bucket();
-    }
+    take_front(out);
     return true;
 }
 
 void EventQueue::clear() noexcept {
-    // Release every pending slot (bumping its generation) so outstanding
+    // Release every queued slot (bumping its generation) so outstanding
     // handles can never cancel events scheduled after the clear.
     for (Bucket* bucket : heap_) {
-        for (std::size_t i = bucket->next; i < bucket->items.size(); ++i) {
-            release_slot(bucket->items[i].slot);
+        for (std::uint32_t slot = bucket->head; slot != kNoSlot;) {
+            const std::uint32_t next = slots_[slot].next;
+            slots_[slot].action = nullptr;
+            release_slot(slot);
+            slot = next;
         }
-        bucket->items.clear();
-        bucket->next = 0;
-        bucket_pool_.release(bucket);
+        release_bucket(bucket);
     }
     heap_.clear();
     by_time_.clear();

@@ -4,33 +4,32 @@
 // Events are grouped into per-timestamp *buckets*: a binary min-heap orders
 // the distinct timestamps while each bucket holds its events in insertion
 // order. Pushing into an existing bucket and popping within a bucket are
-// amortised O(1); the O(log n) heap work is paid once per distinct timestamp
-// instead of once per event. This is what makes dense same-time cohorts
-// (periodic monitors, batched CAN windows) cheap.
+// O(1); the O(log n) heap work is paid once per distinct timestamp instead
+// of once per event. This is what makes dense same-time cohorts (periodic
+// monitors, batched CAN windows) cheap.
 //
-// Memory layout (the steady-state hot path is allocation-free):
-//  - Actions are util::InlineCallable with 24 bytes of inline storage — an
-//    Item is 40 bytes and typical captures ({this, id, token}) never touch
-//    the heap. Dense-cohort push throughput is bandwidth-bound in
-//    sizeof(Item), so the buffer is sized for three pointers, not for the
-//    fattest caller: bigger captures fall back to one heap allocation
-//    (long-lived callables such as periodic bodies pay it once at
-//    registration — relocation of a heap target just moves a pointer).
-//  - Buckets are recycled through a util::Pool: a drained bucket goes back
-//    to the free list with its items vector's CAPACITY intact, so the next
-//    timestamp reuses the same line-sized storage instead of reallocating.
-//    (The old design kept a vector<unique_ptr<Bucket>> that allocated each
-//    bucket individually and never shrank.)
+// Memory layout (the steady-state hot path is allocation-free, and storage
+// is bounded by the peak number of pending events):
+//  - Every pending event lives in one queue-wide slot table. A slot holds
+//    the action (util::InlineCallable, 24 inline bytes: typical captures
+//    such as {this, id, token} never touch the heap; bigger captures fall
+//    back to one heap allocation), the index of the next slot in its
+//    bucket, and a generation counter. Free slots are chained through the
+//    same index, so the table never holds more entries than the most events
+//    ever pending at once.
+//  - A bucket is a timestamp plus the head and tail of its FIFO of slots.
+//    Buckets have stable addresses (util::StableVector) and are recycled
+//    through an intrusive free list; they own no storage of their own, so a
+//    timestamp that once held a large cohort leaves nothing behind.
 //  - The timestamp -> bucket index is a last-bucket cache over an
 //    open-addressed flat table (util::FlatPtrMap64): repeated pushes to the
-//    current cohort hit the cache, everything else is one mixed probe into
-//    a flat array — no per-node malloc, and clear() keeps the table.
+//    current cohort hit the cache, everything else is one mixed probe.
 //
-// Cancellation uses generation counters: every event owns a slot in a slot
-// table and its handle stores the slot's generation at push time. cancel()
-// is O(1) — it just kills the slot — and a handle can never revoke a later
-// event that happens to reuse the same slot, because reuse bumps the
-// generation. There is no tombstone scan and no retained heap entry.
+// Cancellation uses generation counters: an event's handle stores its
+// slot's generation at push time. cancel() is O(1) — it destroys the
+// action, which marks the slot dead — and a handle can never revoke a later
+// event that reuses the same slot, because releasing a slot bumps its
+// generation. Dead slots are unlinked when their bucket reaches the front.
 
 #include <cstdint>
 #include <vector>
@@ -38,7 +37,7 @@
 #include "sim/time.hpp"
 #include "util/flat_map.hpp"
 #include "util/inline_callable.hpp"
-#include "util/pool.hpp"
+#include "util/stable_vector.hpp"
 
 namespace sa::sim {
 
@@ -85,19 +84,23 @@ public:
     /// O(log n distinct timestamps) otherwise.
     EventHandle push(Time at, Action action);
 
-    /// Cancel a previously scheduled event in O(1). Returns false if it
-    /// already fired, was already cancelled, or the queue was cleared since.
-    /// The cancelled action is destroyed lazily when its bucket drains.
+    /// Cancel a previously scheduled event in O(1), destroying its action.
+    /// Returns false if it already fired, was already cancelled, or the
+    /// queue was cleared since.
     bool cancel(EventHandle handle);
 
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
+    /// Entries in the slot table: the most events (pending, or cancelled and
+    /// not yet unlinked) the queue ever held at once. Its storage is this
+    /// many Slots plus the vector's growth slack.
+    [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
     /// Earliest pending event time. Requires !empty().
     [[nodiscard]] Time next_time() const;
 
-    /// Pop the earliest event. Requires !empty(). Amortised O(1) within a
-    /// timestamp cohort; heap maintenance happens only on cohort boundaries.
+    /// Pop the earliest event. Requires !empty(). O(1) within a timestamp
+    /// cohort; heap maintenance happens only on cohort boundaries.
     struct Popped {
         Time at;
         Action action;
@@ -113,36 +116,23 @@ public:
 
     void clear() noexcept;
 
-    /// Bucket-pool statistics: the queue microbench asserts the recycle-hit
-    /// rate so the pool fix stays a regression-tested invariant.
-    [[nodiscard]] std::size_t buckets_created() const noexcept {
-        return bucket_pool_.created();
-    }
-    [[nodiscard]] std::uint64_t bucket_acquires() const noexcept {
-        return bucket_pool_.acquires();
-    }
-    [[nodiscard]] double bucket_recycle_hit_rate() const noexcept {
-        return bucket_pool_.recycle_hit_rate();
-    }
-
 private:
-    struct Item {
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+    /// One pending event, or a free entry. The action is empty when the
+    /// event fired, was cancelled or the slot is free; `next` links the
+    /// slot into its bucket's FIFO, or into the free list.
+    struct Slot {
         Action action;
-        std::uint32_t slot;
+        std::uint32_t next = kNoSlot;
+        std::uint32_t generation = 1;
     };
-    /// All events at one timestamp, in insertion order. `next` marks how far
-    /// the bucket has been consumed; buckets are recycled once drained.
+    /// All events at one timestamp: a FIFO of slots, consumed from the head.
     struct Bucket {
         std::int64_t at = 0;
-        std::size_t next = 0;
-        std::vector<Item> items;
-    };
-    /// Generation-counted cancellation slot. `live` flips false on cancel or
-    /// pop; `generation` bumps when the slot is physically released so a
-    /// stale handle can never match a reused slot.
-    struct Slot {
-        std::uint32_t generation = 1;
-        bool live = false;
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
+        Bucket* next_free = nullptr;
     };
 
     /// Heap ordering for std::push_heap/pop_heap (max-heap builders):
@@ -151,13 +141,15 @@ private:
         return a->at > b->at;
     }
 
-    Bucket* acquire_bucket(std::int64_t at);
-    void retire_front_bucket();
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t slot) noexcept;
-    /// Drop leading cancelled items (and exhausted buckets) so the heap
+    void release_bucket(Bucket* bucket) noexcept;
+    void retire_front_bucket() noexcept;
+    /// Drop leading cancelled events (and exhausted buckets) so the heap
     /// front is a live event.
-    void prune_front();
+    void prune_front() noexcept;
+    /// Move the front event into `out`. Requires a pruned, non-empty queue.
+    void take_front(Popped& out) noexcept;
 
     // Min-heap over bucket timestamps (std::push_heap/pop_heap with a
     // greater-than comparator). Holds one entry per *distinct* timestamp.
@@ -166,9 +158,10 @@ private:
     /// cohorts hit it almost always), backed by the flat table.
     Bucket* last_bucket_ = nullptr;
     util::FlatPtrMap64<Bucket*> by_time_;
-    util::Pool<Bucket> bucket_pool_;
+    util::StableVector<Bucket, 16> buckets_;
+    Bucket* free_buckets_ = nullptr;
     std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    std::uint32_t free_slots_ = kNoSlot;
     std::size_t live_ = 0;
 };
 

@@ -6,37 +6,13 @@
 
 namespace sa::sim {
 
-namespace detail {
-namespace {
-thread_local Simulator* t_executing_domain = nullptr;
-std::atomic<int> g_multi_domain_kernels{0};
-} // namespace
-
-Simulator* executing_domain() noexcept { return t_executing_domain; }
-void set_executing_domain(Simulator* simulator) noexcept {
-    t_executing_domain = simulator;
-}
-int multi_domain_kernels() noexcept {
-    return g_multi_domain_kernels.load(std::memory_order_relaxed);
-}
-void add_multi_domain_kernels(int delta) noexcept {
-    g_multi_domain_kernels.fetch_add(delta, std::memory_order_relaxed);
-}
-} // namespace detail
-
 EventHandle Simulator::schedule(Duration delay, EventQueue::Action action) {
     SA_REQUIRE(delay.count_ns() >= 0, "cannot schedule into the past");
-    SA_REQUIRE(owned_by_caller(),
-               "event scheduled on a foreign simulator from inside a window; "
-               "use sim::post() instead");
     return queue_.push(now_ + delay, std::move(action));
 }
 
 EventHandle Simulator::schedule_at(Time at, EventQueue::Action action) {
     SA_REQUIRE(at >= now_, "cannot schedule into the past");
-    SA_REQUIRE(owned_by_caller(),
-               "event scheduled on a foreign simulator from inside a window; "
-               "use sim::post() instead");
     return queue_.push(at, std::move(action));
 }
 
@@ -54,9 +30,6 @@ std::uint64_t Simulator::schedule_periodic(Duration period, EventQueue::Action a
                                            Duration phase) {
     SA_REQUIRE(period.count_ns() > 0, "periodic activity needs a positive period");
     SA_REQUIRE(phase.count_ns() >= 0, "phase must be non-negative");
-    SA_REQUIRE(owned_by_caller(),
-               "periodic registered on a foreign simulator from inside a "
-               "window; post() the registration to the owning domain instead");
     std::uint32_t index;
     if (!free_periodics_.empty()) {
         index = free_periodics_.back();
@@ -114,9 +87,6 @@ void Simulator::fire_periodic(std::uint64_t id) {
 }
 
 void Simulator::cancel_periodic(std::uint64_t id) {
-    SA_REQUIRE(owned_by_caller(),
-               "periodic cancelled on a foreign simulator from inside a "
-               "window; post() the cancellation to the owning domain instead");
     const std::uint32_t index = periodic_index(id);
     if (index >= periodics_.size()) {
         return;

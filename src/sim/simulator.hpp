@@ -1,12 +1,9 @@
 #pragma once
 // Discrete-event simulation kernel. Single-threaded and deterministic:
 // the same seed and setup always produce the same trace. All substrates of
-// one ECU domain (CAN bus, ECU schedulers, vehicle dynamics, platoon
+// a scenario (CAN buses, ECU schedulers, vehicle dynamics, platoon and mesh
 // messaging) run on one Simulator so their interleavings are globally
-// ordered. A ShardedKernel (sim/sharded_kernel.hpp) owns one Simulator per
-// domain and drives them, in index order on the calling thread, through
-// run_until() windows bounded by conservative lookahead; each domain
-// remains exactly this kernel inside its window.
+// ordered; sim::Kernel (sim/kernel.hpp) adds script barriers on top.
 //
 // There is one drain loop, run_until(): it executes one event at a time and
 // honours stop() between any two events.
@@ -21,26 +18,6 @@
 #include "util/random.hpp"
 
 namespace sa::sim {
-
-class ShardedKernel;
-class Simulator;
-
-namespace detail {
-/// The simulator whose sharded window is executing on this thread, or
-/// nullptr everywhere else (between windows, in a script barrier, for
-/// standalone simulators). Set by ShardedKernel around each domain's
-/// window; that domain is the only simulator the window may mutate, hence
-/// mutable.
-[[nodiscard]] Simulator* executing_domain() noexcept;
-void set_executing_domain(Simulator* simulator) noexcept;
-/// Count of live ShardedKernels with two or more domains in this process,
-/// maintained by their constructors and destructors. While zero (every
-/// program whose kernels have one domain: those have no foreign domain to
-/// mutate), the ownership guards reduce to one relaxed global load — no
-/// thread-local access on the scheduling hot path.
-[[nodiscard]] int multi_domain_kernels() noexcept;
-void add_multi_domain_kernels(int delta) noexcept;
-} // namespace detail
 
 class Simulator {
 public:
@@ -59,33 +36,15 @@ public:
 
     /// Schedule a periodic activity; the first firing happens after `phase`.
     /// The returned id can be passed to cancel_periodic().
-    ///
-    /// Sharding contract: under a ShardedKernel this must be called from
-    /// the owning domain's window or a quiescent context between windows;
-    /// another domain's window must post() the registration instead, since
-    /// a foreign mutation mid-window breaks byte-identity across domain
-    /// counts.
     std::uint64_t schedule_periodic(Duration period, EventQueue::Action action,
                                     Duration phase = Duration::zero());
 
     /// Stop a periodic activity. The in-flight occurrence is cancelled
     /// eagerly (O(1) via the queue's generation counters), so no stale event
     /// lingers in the queue.
-    ///
-    /// Sharding contract: like schedule_periodic(), only the owning domain
-    /// may call this while a sharded window is executing — another domain's
-    /// window must post() the cancellation to the owning domain (enforced
-    /// with SA_REQUIRE, so a Vehicle torn down from the wrong domain fails
-    /// loudly instead of depending on whether its owner already ran).
     void cancel_periodic(std::uint64_t id);
 
-    bool cancel(EventHandle handle) {
-        SA_REQUIRE(owned_by_caller(),
-                   "event cancelled on a foreign simulator from inside a "
-                   "window; post() the cancellation to the owning domain "
-                   "instead");
-        return queue_.cancel(handle);
-    }
+    bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 
     /// Run until the event queue is empty or `until` is reached (whichever is
     /// first). Returns the number of events executed. Executes one event at a
@@ -100,14 +59,12 @@ public:
     /// stop without racing the owning drain loop. Note run_until() consumes
     /// the flag on
     /// entry, so a stop aimed at an idle simulator is discarded; to stop a
-    /// whole sharded run use ShardedKernel::stop().
+    /// scenario run use Kernel::stop().
     void stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
 
     /// Advance the clock to `at` without executing anything. Requires that
-    /// no event is pending before `at` and `at` >= now(). The sharded
-    /// kernel uses this to align domain clocks on script barriers and at
-    /// the end of a run, so "schedule after delay from now" keeps meaning
-    /// the same thing at every domain count.
+    /// no event is pending before `at` and `at` >= now(). The kernel uses
+    /// this to move the clock onto script barriers and to the end of a run.
     void advance_to(Time at);
 
     /// Earliest pending event time, or Time::max() when idle.
@@ -118,10 +75,6 @@ public:
     [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
     [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
     [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
-
-    /// Non-null when this simulator is one domain of a ShardedKernel.
-    [[nodiscard]] ShardedKernel* shard() const noexcept { return shard_; }
-    [[nodiscard]] std::size_t shard_domain() const noexcept { return shard_domain_; }
 
     /// Deterministic RNG seeded from the constructor seed. Constructed
     /// lazily on first access: seeding a mt19937_64 costs ~0.6 us, which
@@ -148,31 +101,13 @@ private:
         bool live = false;
     };
 
-    friend class ShardedKernel; ///< binds shard_/shard_domain_ at construction
-
     void fire_periodic(std::uint64_t id);
     void arm_periodic(PeriodicSlot& slot, std::uint64_t id, Duration delay);
-    /// True when the caller may mutate this simulator: either no sharded
-    /// window is executing on this thread, or the window is ours. A foreign
-    /// mutation inside a window would make the result depend on the order
-    /// domains run in, breaking byte-identity across domain counts. Applies
-    /// to EVERY simulator, sharded or not — a domain window holding a
-    /// reference to some standalone simulator must not mutate it either.
-    [[nodiscard]] bool owned_by_caller() const noexcept {
-        if (detail::multi_domain_kernels() == 0) {
-            return true; // fast path: no kernel has a foreign domain
-        }
-        const Simulator* executing = detail::executing_domain();
-        return executing == nullptr || executing == this;
-    }
-
     EventQueue queue_;
     Time now_ = Time::zero();
     std::uint64_t seed_;
     std::optional<RandomEngine> rng_;
     std::atomic<bool> stop_requested_{false};
-    ShardedKernel* shard_ = nullptr;
-    std::size_t shard_domain_ = 0;
     std::uint64_t executed_ = 0;
     // Flat slot storage: a firing decodes its slot index straight from the
     // id — no hashing, no per-task heap node. fire_periodic moves the action

@@ -5,8 +5,8 @@
 // only for trivially-copyable targets), so kernel event actions capturing
 // {this, token, id} heap-allocate on every schedule. InlineCallable widens
 // the inline buffer (24 bytes by default — three pointers, the dense-cohort
-// sweet spot: the event queue's Item stays 40 bytes, and measured cohort
-// push throughput is bandwidth-bound in sizeof(Item)) and drops
+// sweet spot: the event queue's Slot stays 40 bytes, and measured cohort
+// push throughput is bandwidth-bound in sizeof(Slot)) and drops
 // copyability, which the event path never needed: actions are moved into
 // the queue, moved out to execute, and destroyed. Callables larger than the
 // buffer (or with throwing moves, or over-aligned beyond 8) fall back to a
@@ -120,7 +120,7 @@ private:
     };
 
     // Pointer alignment, not max_align_t: 16-byte alignment would pad the
-    // whole object (and every queue Item holding one) up to the next
+    // whole object (and every queue Slot holding one) up to the next
     // 16-byte multiple, and the dense-cohort benches are bandwidth-bound in
     // sizeof. Over-aligned captures take the heap path via fits_inline_v.
     static constexpr std::size_t kStorageAlign = alignof(void*);

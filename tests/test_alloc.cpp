@@ -1,5 +1,5 @@
 // Allocation-count harness tests plus the steady-state zero-allocation pins
-// for the kernel hot paths (ISSUE: arena/pool memory layout). Linking this
+// for the kernel hot paths, and the event queue's storage bound. Linking this
 // suite pulls the interposing operator new/delete from alloc_hook.cpp into
 // the binary (static-library pull-in IS the hook); the pins then assert that
 // a warmed simulation schedules/pops events, completes CAN round trips and
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -24,7 +25,6 @@
 #include "util/alloc_hook.hpp"
 #include "util/flat_map.hpp"
 #include "util/inline_callable.hpp"
-#include "util/pool.hpp"
 
 namespace {
 
@@ -156,54 +156,39 @@ TEST(InlineCallable, DestroysCapturesExactlyOnce) {
     EXPECT_EQ(token.use_count(), 1);
 }
 
-// --- Pool ------------------------------------------------------------------
+// --- EventQueue storage -----------------------------------------------------
 
-TEST(Pool, RecyclesReleasedObjects) {
-    util::Pool<std::vector<int>, 4> pool;
-    std::vector<int>* first = pool.acquire();
-    first->assign(100, 1); // give the object some capacity
-    const std::size_t cap = first->capacity();
-    pool.release(first);
-    std::vector<int>* again = pool.acquire();
-    EXPECT_EQ(again, first);          // LIFO free list hands the same object back
-    EXPECT_GE(again->capacity(), cap); // release never destroys: capacity survives
-    pool.release(again);
-}
-
-TEST(Pool, RecycleHitRateReflectsReuse) {
-    util::Pool<int, 4> pool;
-    EXPECT_EQ(pool.recycle_hit_rate(), 0.0); // no acquires yet
-    std::vector<int*> held;
-    for (int i = 0; i < 4; ++i) {
-        held.push_back(pool.acquire());
+TEST(EventQueueStorage, RetainsNoMoreThanItsPeakPendingEvents) {
+    // One 256-event cohort, drained, then 1000 single-event timestamps with
+    // at most four in flight: the timestamp that once held the cohort must
+    // not keep room for it beside the later ones, and once the heap of
+    // timestamps has grown to four, the cycling allocates nothing.
+    EventQueue q;
+    std::uint64_t fired = 0;
+    for (int i = 0; i < 256; ++i) {
+        q.push(Time(1), [&fired] { ++fired; });
     }
-    EXPECT_EQ(pool.created(), 4u);
-    for (int* p : held) {
-        pool.release(p);
+    std::size_t peak = q.size();
+    while (!q.empty()) {
+        q.pop().action();
     }
-    for (int round = 0; round < 9; ++round) {
-        for (int i = 0; i < 4; ++i) {
-            held[static_cast<std::size_t>(i)] = pool.acquire();
+    std::uint64_t allocations = 0;
+    for (int t = 0; t < 1000; ++t) {
+        alloc_hook::CountScope scope;
+        q.push(Time(2 + t), [&fired] { ++fired; });
+        peak = std::max(peak, q.size());
+        if (q.size() == 4) {
+            q.pop().action();
         }
-        for (int* p : held) {
-            pool.release(p);
-        }
+        allocations += t >= 4 ? scope.allocations() : 0;
     }
-    EXPECT_EQ(pool.created(), 4u); // no growth after the first chunk
-    EXPECT_EQ(pool.acquires(), 40u);
-    EXPECT_DOUBLE_EQ(pool.recycle_hit_rate(), 1.0 - 4.0 / 40.0);
-}
-
-TEST(Pool, SteadyStateAcquireReleaseDoesNotAllocate) {
-    util::Pool<int, 8> pool;
-    int* warm = pool.acquire();
-    pool.release(warm);
-    alloc_hook::CountScope scope;
-    for (int i = 0; i < 100; ++i) {
-        int* p = pool.acquire();
-        pool.release(p);
+    while (!q.empty()) {
+        q.pop().action();
     }
-    EXPECT_EQ(scope.allocations(), 0u);
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(fired, 1256u);
+    EXPECT_EQ(peak, 256u);
+    EXPECT_LE(q.capacity(), peak);
 }
 
 // --- FlatPtrMap64 ----------------------------------------------------------

@@ -293,8 +293,7 @@ TEST(CellVerdict, FingerprintIsStable) {
 TEST(CampaignDeterminism, SixteenCellsReplayIdenticallyAcrossDomainCounts) {
     // The cross-suite property the corpus depends on: a cell's verdict JSON
     // is a pure function of the cell — the same seed replays byte-for-byte,
-    // and partitioning the kernel across 1 vs 2 ECU domains is invisible in
-    // the verdict. Sample 16 cells spread across the axes (crash cells
+    // and the declared domain count (1 vs 2) is invisible in the verdict. Sample 16 cells spread across the axes (crash cells
     // excluded: they never produce a verdict in-process).
     CampaignSpec spec("determinism");
     spec.vehicles({2, 3})

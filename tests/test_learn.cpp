@@ -425,7 +425,7 @@ TEST(DriftDemo, TraceAndAnomalyStreamAreDomainCountInvariant) {
 
     // Byte-identical recorded streams and identical anomaly sequences: the
     // learned pipeline is a pure function of the ingest stream, and the
-    // ingest stream does not depend on how ECU domains are partitioned.
+    // ingest stream does not depend on the declared domain count.
     EXPECT_EQ(one.trace.str(), two.trace.str());
     EXPECT_EQ(one.trace.str(), four.trace.str());
     EXPECT_EQ(one.anomalies, two.anomalies);

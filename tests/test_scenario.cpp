@@ -376,7 +376,7 @@ TEST(Scenario, WeatherAppliesToDrivingVehicles) {
     EXPECT_GT(ego.driving().weather().fog, 0.5);
 }
 
-// --- domain-partition contracts (regression: loud rejection, not partitioner UB) ----
+// --- domain labels (regression: loud rejection of impossible declarations) ---------
 
 TEST(ScenarioBuilder, ZeroDomainsRejected) {
     scenario::ScenarioBuilder builder(1);
@@ -389,7 +389,7 @@ TEST(ScenarioBuilder, ZeroDomainsRejected) {
 }
 
 TEST(ScenarioBuilder, OutOfRangeDomainPinRejectedAtBuild) {
-    // Pin beyond the declared partition.
+    // Pin beyond the declared domain count.
     scenario::ScenarioBuilder sharded(1);
     sharded.domains(2);
     sharded.vehicle("ego")
@@ -397,7 +397,7 @@ TEST(ScenarioBuilder, OutOfRangeDomainPinRejectedAtBuild) {
         .domain(2);
     EXPECT_THROW((void)sharded.build(), ContractViolation);
 
-    // Pin on an unsharded scenario: only domain 0 exists.
+    // Pin on a one-domain scenario: only domain 0 exists.
     scenario::ScenarioBuilder unsharded(1);
     unsharded.vehicle("ego")
         .ecu({"ecu", 1.0, 0.75, model::Asil::D, "zone", "part"})
@@ -414,10 +414,9 @@ TEST(ScenarioBuilder, OutOfRangeDomainPinRejectedAtBuild) {
 }
 
 TEST(Scenario, EveryDomainRunsOnTheCallingThread) {
-    // Domains are a deterministic partition, not threads: at every domain
-    // count, events on every domain and the at() scripts execute on the
-    // thread that called run(). Only kernels with two or more domains turn
-    // the ownership guards off their one-load fast path.
+    // Domains are labels, not threads: at every declared domain count,
+    // every vehicle's events and the at() scripts execute on the thread
+    // that called run().
     for (const std::size_t domains : {1u, 2u, 4u}) {
         SCOPED_TRACE(domains);
         scenario::ScenarioBuilder builder(23);
@@ -430,23 +429,17 @@ TEST(Scenario, EveryDomainRunsOnTheCallingThread) {
             script_thread = std::this_thread::get_id();
         });
         auto scenario = builder.build();
-        std::vector<std::thread::id> event_threads(domains);
-        for (std::size_t d = 0; d < domains; ++d) {
-            scenario->kernel().domain(d).schedule(Duration::ms(50), [&, d] {
-                event_threads[d] = std::this_thread::get_id();
-            });
-        }
+        std::thread::id event_thread;
+        scenario->vehicle("ego").simulator().schedule(
+            Duration::ms(50), [&] { event_thread = std::this_thread::get_id(); });
         scenario->run(Duration::ms(500));
 
         EXPECT_EQ(script_thread, std::this_thread::get_id());
-        for (std::size_t d = 0; d < domains; ++d) {
-            EXPECT_EQ(event_threads[d], std::this_thread::get_id()) << "domain " << d;
-        }
+        EXPECT_EQ(event_thread, std::this_thread::get_id());
         EXPECT_EQ(scenario->num_domains(), domains);
-        EXPECT_GE(scenario->kernel().windows(), 2u); // split by the script barrier
-        EXPECT_EQ(sim::detail::multi_domain_kernels(), domains >= 2 ? 1 : 0);
+        EXPECT_EQ(&scenario->vehicle("ego").simulator(), &scenario->simulator());
+        EXPECT_EQ(scenario->kernel().windows(), 2u); // split by the script barrier
     }
-    EXPECT_EQ(sim::detail::multi_domain_kernels(), 0);
 }
 
 // --- declarative skills + unified degradation --------------------------------------
@@ -757,9 +750,8 @@ TEST(Scenario, ReportAfterThrowingScriptReturnsPartialReport) {
 }
 
 TEST(Scenario, ReportAfterThrowingWindowUnderShardedKernel) {
-    // Same regression one layer down: with a multi-domain kernel the throw
-    // happens at a script barrier; report() must read the furthest
-    // domain clock (ShardedKernel::progress()), not the pre-window now().
+    // Same regression with two declared domains and the throw at a script
+    // barrier: report() reads the clock the run reached.
     scenario::ScenarioBuilder builder(23);
     builder.domains(2);
     for (const char* name : {"lead", "follow"}) {

@@ -2,13 +2,12 @@
 // drift scenario's metric stream into a byte-stable .trace file, fits and
 // scores the online models over recorded traces (the offline engine runs
 // the exact in-sim algorithm), and replays a recording to prove the bytes
-// reproduce — including across domain counts.
+// reproduce.
 //
 //   usage: sa_learn <command> [options] ...
 //
 //   commands:
-//     record <out.trace> [--seed <n>] [--domains <n>] [--duration-ms <n>]
-//            [--drift-step-m <x>]
+//     record <out.trace> [--seed <n>] [--duration-ms <n>] [--drift-step-m <x>]
 //         run the drift demo, record vehicle "ego"'s ingest stream, save it
 //         (scenario parameters are kept as trace metadata for replay)
 //     fit <trace> [--warmup-ms <n>] [--threshold <bits>] [--band-width <x>]
@@ -17,17 +16,23 @@
 //     score <trace> [fit options] [--expect-anomaly]
 //         print every alarm-state transition; with --expect-anomaly exit 1
 //         when no learned_abnormality was raised
-//     replay <trace> [--domains <n>]
-//         re-run the recorded scenario and diff the bytes; --domains re-runs
-//         on a different domain count (the sample stream must not change)
-//         exit 0 = byte-identical, 1 = diverged, 2 = usage error
+//     replay <trace>
+//         re-run the recorded scenario and diff the bytes
+//         exit 0 = byte-identical, 1 = diverged
+//
+//   A malformed command line or flag value exits 2 with a message naming
+//   the flag.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "learn/drift_demo.hpp"
@@ -44,6 +49,43 @@ int usage() {
     return 2;
 }
 
+/// A malformed command line: main() prints it with the usage and exits 2.
+struct UsageError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+enum class Bound { Any, NonNegative, Positive };
+
+/// The value after the flag at args[i] (advancing i past it): the whole
+/// text must parse as a finite T within `bound`, else a UsageError names
+/// the flag.
+template <typename T>
+T flag_value(const std::vector<std::string>& args, std::size_t& i, Bound bound) {
+    const std::string& flag = args[i];
+    if (i + 1 == args.size()) {
+        throw UsageError(flag + " needs a value");
+    }
+    const std::string& text = args[++i];
+    T value{};
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    bool ok = error == std::errc{} && end == text.data() + text.size();
+    if constexpr (std::is_floating_point_v<T>) {
+        ok = ok && std::isfinite(value);
+    }
+    if (bound == Bound::NonNegative) {
+        ok = ok && value >= T{0};
+    } else if (bound == Bound::Positive) {
+        ok = ok && value > T{0};
+    }
+    if (!ok) {
+        const char* wanted = bound == Bound::Positive      ? "a positive number"
+                             : bound == Bound::NonNegative ? "a non-negative number"
+                                                           : "a number";
+        throw UsageError(flag + " expects " + wanted + ", got '" + text + "'");
+    }
+    return value;
+}
+
 /// Run the drift demo and record "ego"'s metric stream, stamping the
 /// scenario parameters into the trace metadata so replay can rebuild it.
 sa::learn::Trace record_drift(const sa::learn::DriftDemoConfig& config) {
@@ -54,7 +96,6 @@ sa::learn::Trace record_drift(const sa::learn::DriftDemoConfig& config) {
     sa::learn::Trace trace = std::move(recorder.trace());
     trace.set_meta("scenario", "drift_demo");
     trace.set_meta("seed", std::to_string(config.seed));
-    trace.set_meta("domains", std::to_string(config.domains));
     trace.set_meta("duration_ns", std::to_string(config.duration.count_ns()));
     return trace;
 }
@@ -65,54 +106,47 @@ struct ParsedArgs {
     /// keeps its own.
     std::optional<sa::sim::Duration> warmup;
     bool expect_anomaly = false;
-    bool domains_overridden = false;
     std::string file;
-    bool ok = true;
 };
 
 ParsedArgs parse_args(const std::vector<std::string>& args) {
     ParsedArgs parsed;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string& arg = args[i];
-        if (arg == "--seed" && i + 1 < args.size()) {
-            parsed.demo.seed = std::stoull(args[++i]);
-        } else if (arg == "--domains" && i + 1 < args.size()) {
-            parsed.demo.domains = std::stoull(args[++i]);
-            parsed.domains_overridden = true;
-        } else if (arg == "--duration-ms" && i + 1 < args.size()) {
-            parsed.demo.duration = sa::sim::Duration::ms(std::stoll(args[++i]));
-        } else if (arg == "--drift-step-m" && i + 1 < args.size()) {
-            parsed.demo.drift_step_m = std::stod(args[++i]);
-        } else if (arg == "--band-width" && i + 1 < args.size()) {
-            parsed.demo.band_width = std::stod(args[++i]);
-        } else if (arg == "--warmup-ms" && i + 1 < args.size()) {
-            parsed.warmup = sa::sim::Duration::ms(std::stoll(args[++i]));
-        } else if (arg == "--threshold" && i + 1 < args.size()) {
-            parsed.demo.score_threshold = std::stod(args[++i]);
+        if (arg == "--seed") {
+            parsed.demo.seed = flag_value<std::uint64_t>(args, i, Bound::Any);
+        } else if (arg == "--duration-ms") {
+            parsed.demo.duration =
+                sa::sim::Duration::ms(flag_value<std::int64_t>(args, i, Bound::Positive));
+        } else if (arg == "--drift-step-m") {
+            parsed.demo.drift_step_m = flag_value<double>(args, i, Bound::Any);
+        } else if (arg == "--band-width") {
+            parsed.demo.band_width = flag_value<double>(args, i, Bound::Positive);
+        } else if (arg == "--warmup-ms") {
+            parsed.warmup =
+                sa::sim::Duration::ms(flag_value<std::int64_t>(args, i, Bound::NonNegative));
+        } else if (arg == "--threshold") {
+            parsed.demo.score_threshold = flag_value<double>(args, i, Bound::Positive);
         } else if (arg == "--expect-anomaly") {
             parsed.expect_anomaly = true;
         } else if (!arg.empty() && arg.front() == '-') {
-            parsed.ok = false;
+            throw UsageError("unknown option " + arg);
         } else {
             parsed.file = arg;
         }
     }
     if (parsed.file.empty()) {
-        parsed.ok = false;
+        throw UsageError("missing trace file");
     }
     return parsed;
 }
 
 int cmd_record(const std::vector<std::string>& args) {
     const ParsedArgs parsed = parse_args(args);
-    if (!parsed.ok) {
-        return usage();
-    }
     const sa::learn::Trace trace = record_drift(parsed.demo);
     trace.save(parsed.file);
-    std::cout << "recorded " << trace.samples.size() << " samples ("
-              << parsed.demo.domains << " domain(s), seed " << parsed.demo.seed
-              << ") -> " << parsed.file << '\n';
+    std::cout << "recorded " << trace.samples.size() << " samples (seed "
+              << parsed.demo.seed << ") -> " << parsed.file << '\n';
     return 0;
 }
 
@@ -129,9 +163,6 @@ sa::learn::LearnedMonitorConfig offline_config(const ParsedArgs& parsed) {
 
 int cmd_fit(const std::vector<std::string>& args) {
     const ParsedArgs parsed = parse_args(args);
-    if (!parsed.ok) {
-        return usage();
-    }
     const sa::learn::Trace trace = sa::learn::Trace::load(parsed.file);
     const sa::learn::OfflineResult result =
         sa::learn::run_offline(trace, offline_config(parsed));
@@ -151,9 +182,6 @@ int cmd_fit(const std::vector<std::string>& args) {
 
 int cmd_score(const std::vector<std::string>& args) {
     const ParsedArgs parsed = parse_args(args);
-    if (!parsed.ok) {
-        return usage();
-    }
     const sa::learn::Trace trace = sa::learn::Trace::load(parsed.file);
     const sa::learn::OfflineResult result =
         sa::learn::run_offline(trace, offline_config(parsed));
@@ -176,9 +204,6 @@ int cmd_score(const std::vector<std::string>& args) {
 
 int cmd_replay(const std::vector<std::string>& args) {
     const ParsedArgs parsed = parse_args(args);
-    if (!parsed.ok) {
-        return usage();
-    }
     const sa::learn::Trace recorded = sa::learn::Trace::load(parsed.file);
     const std::string* scenario = recorded.find_meta("scenario");
     if (scenario == nullptr || *scenario != "drift_demo") {
@@ -191,20 +216,13 @@ int cmd_replay(const std::vector<std::string>& args) {
         recorded.meta_int("seed", static_cast<std::int64_t>(config.seed)));
     config.duration = sa::sim::Duration::ns(
         recorded.meta_int("duration_ns", config.duration.count_ns()));
-    config.domains = parsed.domains_overridden
-                         ? parsed.demo.domains
-                         : static_cast<std::size_t>(recorded.meta_int(
-                               "domains", static_cast<std::int64_t>(1)));
     sa::learn::Trace fresh = record_drift(config);
-    // The sample stream must be domain-count invariant; only the domains
-    // metadata line legitimately differs when --domains re-runs elsewhere.
-    if (const std::string* domains = recorded.find_meta("domains")) {
-        fresh.set_meta("domains", *domains);
-    }
+    // The replay parameters came from the recorded metadata; older traces
+    // also carry a domains line, which never changed the samples.
+    fresh.meta = recorded.meta;
     if (fresh.str() == recorded.str()) {
         std::cout << "REPLAY OK: " << fresh.samples.size()
-                  << " samples byte-identical (" << config.domains
-                  << " domain(s))\n";
+                  << " samples byte-identical\n";
         return 0;
     }
     std::cout << "REPLAY DIVERGED: " << recorded.samples.size()
@@ -246,6 +264,9 @@ int main(int argc, char** argv) {
         if (command == "replay") {
             return cmd_replay(args);
         }
+    } catch (const UsageError& error) {
+        std::cerr << "sa_learn: " << error.what() << '\n';
+        return usage();
     } catch (const std::exception& error) {
         std::cerr << "sa_learn: " << error.what() << '\n';
         return 2;
