@@ -80,8 +80,7 @@ std::unique_ptr<scenario::Scenario> build_fanout(int vehicles, int buses) {
     // Cooperative awareness: every vehicle beacons every 100 ms.
     for (int i = 0; i < vehicles; ++i) {
         const std::string name = vehicle_name(i);
-        scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
-                               [](const v2v::Frame&, double) {});
+        scenario->v2v().attach(name, [](const v2v::Frame&, double) {});
         scenario->vehicle(name).simulator().schedule_periodic(
             Duration::ms(100),
             [&v2v = scenario->v2v(), name] {

@@ -53,7 +53,7 @@ void BM_MeshSaturation(benchmark::State& state) {
             config.beacon_ttl = static_cast<std::uint32_t>(vehicles);
             config.beacon_phase = Duration::us(913 * i + 11);
             stacks.push_back(std::make_unique<mesh::MeshStack>(
-                stack_name(i), medium, sim, config, 120.0 * i));
+                stack_name(i), medium, config, 120.0 * i));
         }
         const std::string tail = stack_name(vehicles - 1);
         sim.schedule_periodic(
@@ -103,7 +103,7 @@ void BM_MeshRouteConvergence(benchmark::State& state) {
             config.beacon_phase = Duration::us(913 * i + 11);
             config.policy = policy;
             stacks.push_back(std::make_unique<mesh::MeshStack>(
-                stack_name(i), medium, sim, config, 120.0 * i));
+                stack_name(i), medium, config, 120.0 * i));
         }
         const std::string tail = stack_name(kVehicles - 1);
 
@@ -134,7 +134,7 @@ void BM_MediumFanout(benchmark::State& state) {
     v2v::Medium medium(sim, {.latency = Duration::ms(1), .range_m = 250.0});
     std::vector<v2v::Frame> frames;
     for (int i = 0; i < endpoints; ++i) {
-        medium.attach(stack_name(i), sim, [](const v2v::Frame&, double) {}, 100.0 * i);
+        medium.attach(stack_name(i), [](const v2v::Frame&, double) {}, 100.0 * i);
         frames.push_back(v2v::Medium::cam(stack_name(i), 100.0 * i, 20.0));
     }
     for (auto _ : state) {

@@ -42,8 +42,7 @@ void BM_ShardedDualBusPlatoon(benchmark::State& state) {
         });
         auto scenario = builder.build();
         for (const char* name : kVehicles) {
-            scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
-                                   [](const v2v::Frame&, double) {});
+            scenario->v2v().attach(name, [](const v2v::Frame&, double) {});
         }
         int slot = 0;
         for (const char* name : kVehicles) {

@@ -113,8 +113,7 @@ int main() {
 
     // Cooperative awareness over V2V: every vehicle beacons its speed.
     for (const char* name : kVehicles) {
-        scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
-                               [](const v2v::Frame&, double) {});
+        scenario->v2v().attach(name, [](const v2v::Frame&, double) {});
     }
     int beacon_slot = 0;
     for (const char* name : kVehicles) {

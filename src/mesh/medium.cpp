@@ -74,12 +74,10 @@ void Medium::index_erase(const Endpoint* endpoint) {
     by_position_.erase(it);
 }
 
-void Medium::attach(const std::string& name, sim::Simulator& home,
-                    Receiver receiver, double position_m) {
+void Medium::attach(const std::string& name, Receiver receiver, double position_m) {
     SA_REQUIRE(static_cast<bool>(receiver), "receiver must be callable");
     SA_REQUIRE(std::isfinite(position_m), "endpoint position must be finite");
     SA_REQUIRE(!endpoints_.contains(name), "duplicate medium endpoint: " + name);
-    SA_REQUIRE(&home == &simulator_, "endpoint home must be the medium's simulator");
     const auto it = endpoints_
                         .emplace(name, Endpoint{std::move(receiver), position_m,
                                                 next_id_++})

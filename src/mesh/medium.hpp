@@ -8,9 +8,8 @@
 // every frame. Everything protocol-shaped (neighbor tables, announcements,
 // relaying) lives one layer up in mesh::MeshStack.
 //
-// There is exactly ONE attach surface — attach(name, home, receiver) —
-// where `home` is the simulator the receiver runs on, which must be the
-// medium's own. Deliveries are events on that simulator.
+// There is exactly ONE attach surface — attach(name, receiver, position).
+// Deliveries are events on the medium's simulator.
 //
 // Loss draws do not use the simulator's RNG stream. Each draw is a
 // stateless hash of (medium seed, transmitter, receiver, send time, origin,
@@ -99,10 +98,9 @@ public:
     Medium(const Medium&) = delete;
     Medium& operator=(const Medium&) = delete;
 
-    /// Attach an endpoint: delivered frames execute on `home`, which must be
-    /// the medium's simulator; `position_m` must be finite.
-    void attach(const std::string& name, sim::Simulator& home, Receiver receiver,
-                double position_m = 0.0);
+    /// Attach an endpoint: delivered frames execute as events on the
+    /// medium's simulator; `position_m` must be finite.
+    void attach(const std::string& name, Receiver receiver, double position_m = 0.0);
     /// Detach an endpoint. Frames still in flight to it are dropped, also
     /// when an endpoint of the same name attaches before their delivery.
     void detach(const std::string& name);

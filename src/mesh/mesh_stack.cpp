@@ -25,9 +25,9 @@ bool next_hop_policy_from_string(const std::string& text, NextHopPolicy& out) {
     return false;
 }
 
-MeshStack::MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home,
+MeshStack::MeshStack(std::string name, v2v::Medium& medium,
                      MeshConfig config, double position_m)
-    : name_(std::move(name)), medium_(medium), home_(home), config_(config) {
+    : name_(std::move(name)), medium_(medium), sim_(medium.simulator()), config_(config) {
     SA_REQUIRE(config_.beacon_ttl >= 1, "beacon TTL must be at least 1");
     SA_REQUIRE(config_.beacon_period.count_ns() > 0,
                "beacon period must be positive");
@@ -37,24 +37,22 @@ MeshStack::MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home
                    config_.prr_alpha > 0.0 && config_.prr_alpha <= 1.0,
                "EWMA smoothing factors must be in (0, 1]");
     medium_.attach(
-        name_, home_,
-        [this](const v2v::Frame& frame, double rssi_dbm) {
-            handle_frame(frame, rssi_dbm);
-        },
+        name_,
+        [this](const v2v::Frame& frame, double rssi_dbm) { handle_frame(frame, rssi_dbm); },
         position_m);
-    beacon_id_ = home_.schedule_periodic(
+    beacon_id_ = sim_.schedule_periodic(
         config_.beacon_period, [this] { beacon_tick(); }, config_.beacon_phase);
 }
 
 MeshStack::~MeshStack() {
-    home_.cancel_periodic(beacon_id_);
+    sim_.cancel_periodic(beacon_id_);
     if (medium_.attached(name_)) {
         medium_.detach(name_);
     }
 }
 
 void MeshStack::handle_frame(const v2v::Frame& frame, double rssi_dbm) {
-    const Time now = home_.now();
+    const Time now = sim_.now();
     auto [it, fresh] = neighbors_.try_emplace(frame.transmitter);
     Neighbor& neighbor = it->second;
     if (fresh) {
@@ -92,7 +90,7 @@ void MeshStack::handle_announce(const v2v::Frame& frame) {
     // transmissions. Every copy updates the candidate set — a stale or
     // duplicate seq still proves the path exists.
     routes_[frame.origin][frame.transmitter] =
-        RouteCandidate{frame.hops + 1, home_.now()};
+        RouteCandidate{frame.hops + 1, sim_.now()};
     // Selective on-announcement (serval idiom): re-transmit only the FIRST
     // copy of a new per-origin sequence number, so one beacon crosses the
     // mesh once instead of multiplying at every node.
@@ -140,7 +138,7 @@ void MeshStack::handle_cam(const v2v::Frame& frame) {
 }
 
 void MeshStack::beacon_tick() {
-    age_tables(home_.now());
+    age_tables(sim_.now());
     v2v::Frame frame;
     frame.kind = v2v::FrameKind::Announce;
     frame.transmitter = name_;

@@ -22,9 +22,9 @@
 //    addressed (Frame::next_hop), so a relayed CAM crosses the mesh as a
 //    chain of unicasts, not a flood.
 //
-// Determinism. All mutable state is touched from events on the stack's
-// home simulator: medium deliveries, the announcement beacon and aging,
-// which keys off the home clock. Because the medium's loss draws are
+// Determinism. All mutable state is touched from events on the medium's
+// simulator: deliveries, the announcement beacon and aging, which keys off
+// that clock. Because the medium's loss draws are
 // stateless hashes, neighbor tables, chosen routes and relay traces
 // reproduce byte-identically from the seed.
 
@@ -95,8 +95,8 @@ public:
     using CamHandler = std::function<void(const v2v::Frame&)>;
 
     /// Attaches `name` to the medium at `position_m` and arms the periodic
-    /// self-announcement on `home`, which must be the medium's simulator.
-    MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home,
+    /// self-announcement on the medium's simulator.
+    MeshStack(std::string name, v2v::Medium& medium,
               MeshConfig config = {}, double position_m = 0.0);
     /// Cancels the beacon and detaches from the medium.
     ~MeshStack();
@@ -168,7 +168,7 @@ private:
 
     std::string name_;
     v2v::Medium& medium_;
-    sim::Simulator& home_;
+    sim::Simulator& sim_; ///< the medium's simulator
     MeshConfig config_;
     CamHandler cam_handler_;
     std::uint64_t beacon_id_ = 0; ///< periodic handle

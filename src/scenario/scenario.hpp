@@ -225,8 +225,7 @@ public:
     [[nodiscard]] platoon::TrustManager& trust() noexcept { return trust_; }
     [[nodiscard]] bool has_v2v() const noexcept { return v2v_ != nullptr; }
     /// The shared radio substrate (ScenarioBuilder::v2v()). Custom receivers
-    /// attach here directly: v2v().attach(name, vehicle(name).simulator(),
-    /// receiver) — one surface, no implicit home rule.
+    /// attach here directly: v2v().attach(name, receiver, position_m).
     [[nodiscard]] v2v::Medium& v2v();
     /// The mesh protocol endpoint of `vehicle` (VehicleBuilder::mesh()).
     [[nodiscard]] bool has_mesh(const std::string& vehicle) const;

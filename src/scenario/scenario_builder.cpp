@@ -211,16 +211,14 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
         SA_REQUIRE(v2v_enabled_, "vehicle '" + name +
                                      "' declared a V2V endpoint but the "
                                      "scenario has no v2v() medium");
-        sim::Simulator& home = scenario->vehicle(name).simulator();
         if (endpoint->is_mesh) {
             scenario->meshes_.emplace(
                 name, std::make_unique<mesh::MeshStack>(
-                          name, *scenario->v2v_, home, endpoint->config,
+                          name, *scenario->v2v_, endpoint->config,
                           endpoint->position_m));
         } else {
-            scenario->v2v_->attach(
-                name, home, [](const v2v::Frame&, double) {},
-                endpoint->position_m);
+            scenario->v2v_->attach(name, [](const v2v::Frame&, double) {},
+                                   endpoint->position_m);
         }
     }
     scenario->platoon_config_ = platoon_config_;

@@ -415,10 +415,10 @@ TEST(ZeroAllocPins, MediumBroadcastAllocatesOnlyDeliveredCopies) {
     Simulator sim;
     v2v::Medium medium(sim, {.latency = Duration::ms(1), .range_m = 250.0});
     for (int i = 0; i < 16; ++i) {
-        medium.attach("v" + std::to_string(i), sim, [](const v2v::Frame&, double) {},
+        medium.attach("v" + std::to_string(i), [](const v2v::Frame&, double) {},
                       100.0 * i);
     }
-    medium.attach("far", sim, [](const v2v::Frame&, double) {}, 1.0e6);
+    medium.attach("far", [](const v2v::Frame&, double) {}, 1.0e6);
     const v2v::Frame lonely = v2v::Medium::cam("far", 0.0, 0.0);
     const v2v::Frame middle = v2v::Medium::cam("v8", 0.0, 0.0);
     for (int warm = 0; warm < 2; ++warm) {

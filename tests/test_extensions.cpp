@@ -222,8 +222,8 @@ TEST(V2v, TransmitReachesOthersNotSelf) {
     v2v::Medium medium(sim, {.latency = Duration::ms(10)});
     int a_rx = 0;
     int b_rx = 0;
-    medium.attach("a", sim, [&](const v2v::Frame&, double) { ++a_rx; });
-    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++b_rx; });
+    medium.attach("a", [&](const v2v::Frame&, double) { ++a_rx; });
+    medium.attach("b", [&](const v2v::Frame&, double) { ++b_rx; });
     medium.transmit(v2v::Medium::cam("a", 100.0, 25.0));
     sim.run_until(Time(Duration::ms(50).count_ns()));
     EXPECT_EQ(a_rx, 0);
@@ -236,9 +236,8 @@ TEST(V2v, DeliveryLatencyApplied) {
     sim::Simulator sim;
     v2v::Medium medium(sim, {.latency = Duration::ms(20)});
     Time delivered;
-    medium.attach("tx", sim, [](const v2v::Frame&, double) {});
-    medium.attach("rx", sim,
-                  [&](const v2v::Frame&, double) { delivered = sim.now(); });
+    medium.attach("tx", [](const v2v::Frame&, double) {});
+    medium.attach("rx", [&](const v2v::Frame&, double) { delivered = sim.now(); });
     medium.transmit(v2v::Medium::cam("tx", 0.0, 0.0));
     sim.run_until(Time(Duration::ms(100).count_ns()));
     EXPECT_EQ(delivered.ns(), Duration::ms(20).count_ns());
@@ -249,8 +248,8 @@ TEST(V2v, LossyMediumDropsStatistically) {
     v2v::Medium medium(sim, {.loss_probability = 0.5,
                              .latency = Duration::ms(1)});
     int rx = 0;
-    medium.attach("tx", sim, [](const v2v::Frame&, double) {});
-    medium.attach("rx", sim, [&](const v2v::Frame&, double) { ++rx; });
+    medium.attach("tx", [](const v2v::Frame&, double) {});
+    medium.attach("rx", [&](const v2v::Frame&, double) { ++rx; });
     for (int i = 0; i < 1000; ++i) {
         // Distinct seq per frame: the loss draw is a stateless hash of the
         // frame identity, so identical frames would share one fate.
@@ -274,10 +273,10 @@ TEST(V2v, RangeGatesDeliveryAndFadingShapesLoss) {
     EXPECT_DOUBLE_EQ(medium.loss_at(150.0), 1.0); // beyond range: certain loss
     int near_rx = 0;
     int far_rx = 0;
-    medium.attach("tx", sim, [](const v2v::Frame&, double) {}, 0.0);
-    medium.attach("near", sim, [&](const v2v::Frame&, double) { ++near_rx; },
+    medium.attach("tx", [](const v2v::Frame&, double) {}, 0.0);
+    medium.attach("near", [&](const v2v::Frame&, double) { ++near_rx; },
                   10.0);
-    medium.attach("far", sim, [&](const v2v::Frame&, double) { ++far_rx; },
+    medium.attach("far", [&](const v2v::Frame&, double) { ++far_rx; },
                   250.0);
     for (int i = 0; i < 50; ++i) {
         v2v::Frame frame = v2v::Medium::cam("tx", 0.0, 25.0);
@@ -342,13 +341,13 @@ TEST(Plausibility, EndToEndTrustFormationOverMedium) {
         const double v = id == "truck" ? 22.0 : 25.0;
         return 50.0 + v * t.s();
     };
-    medium.attach("observer", sim, [&](const v2v::Frame& cam, double) {
+    medium.attach("observer", [&](const v2v::Frame& cam, double) {
         checker.check(cam, true_position(cam.origin, sim.now()),
                       cam.origin == "truck" ? 22.0 : 25.0);
     });
-    medium.attach("truck", sim, [](const v2v::Frame&, double) {});
-    medium.attach("car", sim, [](const v2v::Frame&, double) {});
-    medium.attach("spoofer", sim, [](const v2v::Frame&, double) {});
+    medium.attach("truck", [](const v2v::Frame&, double) {});
+    medium.attach("car", [](const v2v::Frame&, double) {});
+    medium.attach("spoofer", [](const v2v::Frame&, double) {});
 
     std::uint32_t seq = 0;
     sim.schedule_periodic(Duration::ms(100), [&] {

@@ -227,8 +227,8 @@ TEST(ShardedV2v, DeliversFramesToEndpointsOnTheirHomeDomains) {
     v2v::Medium medium(sim, {.latency = Duration::ms(20)});
 
     Time b_received = Time::zero();
-    medium.attach("a", sim, [](const v2v::Frame&, double) {});
-    medium.attach("b", sim, [&](const v2v::Frame& frame, double) {
+    medium.attach("a", [](const v2v::Frame&, double) {});
+    medium.attach("b", [&](const v2v::Frame& frame, double) {
         EXPECT_EQ(frame.origin, "a");
         b_received = sim.now();
     });
@@ -243,14 +243,6 @@ TEST(ShardedV2v, DeliversFramesToEndpointsOnTheirHomeDomains) {
     EXPECT_EQ(b_received, at_ms(21));
 }
 
-TEST(ShardedV2v, EndpointOnAnotherSimulatorIsRejected) {
-    sim::Kernel kernel(42);
-    sim::Simulator other(7);
-    v2v::Medium medium(kernel.simulator());
-    EXPECT_THROW(medium.attach("x", other, [](const v2v::Frame&, double) {}),
-                 sa::ContractViolation);
-}
-
 TEST(ShardedV2v, MidRunMembershipChangesApplyToLaterTransmissions) {
     // Membership and positions may change from inside an event: the next
     // transmission sees the change.
@@ -258,9 +250,9 @@ TEST(ShardedV2v, MidRunMembershipChangesApplyToLaterTransmissions) {
     sim::Simulator& sim = kernel.simulator();
     v2v::Medium medium(sim, {.latency = Duration::ms(1), .range_m = 100.0});
     std::uint64_t b_heard = 0;
-    medium.attach("a", sim, [](const v2v::Frame&, double) {}, 0.0);
+    medium.attach("a", [](const v2v::Frame&, double) {}, 0.0);
     sim.schedule(Duration::ms(1), [&] {
-        medium.attach("b", sim, [&](const v2v::Frame&, double) { ++b_heard; }, 50.0);
+        medium.attach("b", [&](const v2v::Frame&, double) { ++b_heard; }, 50.0);
         medium.transmit(v2v::Medium::cam("a", 0.0, 22.0)); // b in range
         medium.move("b", 500.0);
         medium.transmit(v2v::Medium::cam("a", 0.0, 22.0)); // b out of range
@@ -343,8 +335,7 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
         });
     auto scenario = builder.build();
     for (const char* name : kPlatoonVehicles) {
-        scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
-                               [](const v2v::Frame&, double) {});
+        scenario->v2v().attach(name, [](const v2v::Frame&, double) {});
     }
     int slot = 0;
     for (const char* name : kPlatoonVehicles) {

@@ -39,7 +39,7 @@ TEST(Medium, BroadcastCountersBalance) {
     const char* const names[] = {"a", "b", "c", "d"};
     double position = 0.0;
     for (const char* name : names) {
-        medium.attach(name, sim, [](const v2v::Frame&, double) {}, position);
+        medium.attach(name, [](const v2v::Frame&, double) {}, position);
         position += 90.0;
     }
     for (int i = 0; i < 100; ++i) {
@@ -59,9 +59,9 @@ TEST(Medium, AddressedRelayReachesOnlyTheNamedHop) {
     v2v::Medium medium(sim, {.latency = Duration::ms(1)});
     int b_rx = 0;
     int c_rx = 0;
-    medium.attach("a", sim, [](const v2v::Frame&, double) {});
-    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++b_rx; });
-    medium.attach("c", sim, [&](const v2v::Frame&, double) { ++c_rx; });
+    medium.attach("a", [](const v2v::Frame&, double) {});
+    medium.attach("b", [&](const v2v::Frame&, double) { ++b_rx; });
+    medium.attach("c", [&](const v2v::Frame&, double) { ++c_rx; });
     v2v::Frame frame = v2v::Medium::cam("a", 0.0, 20.0);
     frame.destination = "c";
     frame.next_hop = "b";
@@ -108,7 +108,7 @@ struct IndexRig {
     void attach_new() {
         const std::string name = "n" + std::to_string(next_name++);
         medium.attach(
-            name, sim,
+            name,
             [this, name](const v2v::Frame& frame, double) {
                 log.emplace_back(sim.now().ns(), name, frame.transmitter, frame.seq);
             },
@@ -189,9 +189,9 @@ TEST(Medium, InFlightFrameMissesADetachedEndpoint) {
     int old_b = 0;
     int new_b = 0;
     int c_rx = 0;
-    medium.attach("a", sim, [](const v2v::Frame&, double) {});
-    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++old_b; });
-    medium.attach("c", sim, [&](const v2v::Frame&, double) { ++c_rx; });
+    medium.attach("a", [](const v2v::Frame&, double) {});
+    medium.attach("b", [&](const v2v::Frame&, double) { ++old_b; });
+    medium.attach("c", [&](const v2v::Frame&, double) { ++c_rx; });
     medium.transmit(v2v::Medium::cam("a", 0.0, 0.0));
     EXPECT_EQ(medium.deliveries(), 2u);
 
@@ -199,7 +199,7 @@ TEST(Medium, InFlightFrameMissesADetachedEndpoint) {
     medium.detach("b");
     // A new endpoint under the same name is a different attachment: the
     // frame addressed to the old one is not handed to it.
-    medium.attach("b", sim, [&](const v2v::Frame&, double) { ++new_b; });
+    medium.attach("b", [&](const v2v::Frame&, double) { ++new_b; });
     sim.run_until(Time(Duration::ms(20).count_ns()));
     EXPECT_EQ(old_b, 0);
     EXPECT_EQ(new_b, 0);
@@ -231,8 +231,8 @@ LossTally run_lossy(std::uint64_t medium_seed) {
     v2v::Medium medium(sim, {.loss_probability = 0.5,
                              .latency = Duration::ms(1),
                              .seed = medium_seed});
-    medium.attach("tx", sim, [](const v2v::Frame&, double) {});
-    medium.attach("rx", sim, [](const v2v::Frame&, double) {});
+    medium.attach("tx", [](const v2v::Frame&, double) {});
+    medium.attach("rx", [](const v2v::Frame&, double) {});
     for (int i = 0; i < 500; ++i) {
         v2v::Frame frame = v2v::Medium::cam("tx", 0.0, 0.0);
         frame.seq = static_cast<std::uint32_t>(i);
@@ -267,7 +267,7 @@ struct ChainRig {
             config.beacon_ttl = beacon_ttl;
             config.beacon_phase = Duration::us(913 * i + 11);
             stacks.push_back(std::make_unique<mesh::MeshStack>(
-                names[i], medium, sim, config, 120.0 * i));
+                names[i], medium, config, 120.0 * i));
         }
     }
 
@@ -331,10 +331,9 @@ TEST(MeshStack, BeaconTtlOneKeepsAnnouncementsSingleHop) {
 TEST(MeshStack, SilentNeighborsAgeOut) {
     sim::Simulator sim;
     v2v::Medium medium(sim, {.latency = Duration::ms(5)});
-    mesh::MeshStack a("a", medium, sim, {});
+    mesh::MeshStack a("a", medium, {});
     {
-        mesh::MeshStack b("b", medium, sim,
-                          {.beacon_phase = Duration::us(913)});
+        mesh::MeshStack b("b", medium, {.beacon_phase = Duration::us(913)});
         sim.run_until(Time(Duration::sec(1).count_ns()));
         EXPECT_TRUE(a.neighbors().contains("b"));
     } // b detaches and falls silent
@@ -364,13 +363,10 @@ TEST(MeshStack, RssiPolicyPrefersTheStrongerLink) {
     v2v::Medium medium(sim, {.latency = Duration::ms(5), .range_m = 150.0});
     mesh::MeshConfig a_config;
     a_config.policy = mesh::NextHopPolicy::Rssi;
-    mesh::MeshStack a("a", medium, sim, a_config, 0.0);
-    mesh::MeshStack r1("r1", medium, sim,
-                       {.beacon_phase = Duration::us(913)}, 40.0);
-    mesh::MeshStack r2("r2", medium, sim,
-                       {.beacon_phase = Duration::us(1826)}, 130.0);
-    mesh::MeshStack d("d", medium, sim,
-                      {.beacon_phase = Duration::us(2739)}, 180.0);
+    mesh::MeshStack a("a", medium, a_config, 0.0);
+    mesh::MeshStack r1("r1", medium, {.beacon_phase = Duration::us(913)}, 40.0);
+    mesh::MeshStack r2("r2", medium, {.beacon_phase = Duration::us(1826)}, 130.0);
+    mesh::MeshStack d("d", medium, {.beacon_phase = Duration::us(2739)}, 180.0);
     sim.run_until(Time(Duration::sec(1).count_ns()));
     const auto hop = a.next_hop("d");
     ASSERT_TRUE(hop.has_value());
@@ -396,7 +392,7 @@ std::string run_mesh_fingerprint(std::uint64_t seed) {
         config.beacon_ttl = 4;
         config.beacon_phase = Duration::us(913 * static_cast<int>(i) + 11);
         stacks.push_back(std::make_unique<mesh::MeshStack>(
-            names[i], medium, sim, config, 120.0 * static_cast<double>(i)));
+            names[i], medium, config, 120.0 * static_cast<double>(i)));
     }
     // The head unicasts toward the tail every 250 ms.
     sim.schedule_periodic(

@@ -326,10 +326,8 @@ TEST(ScenarioBuilder, V2vMediumDeliversBetweenVehicles) {
     auto scenario = builder.build();
 
     int received = 0;
-    scenario->v2v().attach("a", scenario->vehicle("a").simulator(),
-                           [&](const v2v::Frame&, double) { ++received; });
-    scenario->v2v().attach("b", scenario->vehicle("b").simulator(),
-                           [&](const v2v::Frame&, double) { ++received; });
+    scenario->v2v().attach("a", [&](const v2v::Frame&, double) { ++received; });
+    scenario->v2v().attach("b", [&](const v2v::Frame&, double) { ++received; });
     scenario->simulator().schedule(Duration::ms(5), [&] {
         scenario->v2v().transmit(v2v::Medium::cam("a", 0.0, 20.0));
     });
